@@ -72,30 +72,37 @@ def rotvec_to_dcm(phi: ArrayLike) -> NDArray[np.float64]:
 
     ``C = I + sin(a)/a [phi x] + (1-cos(a))/a^2 [phi x]^2`` with
     ``a = ||phi||``.  Below ``SMALL_ANGLE`` both coefficients switch to
-    their 2nd-order Taylor expansions.
+    their 2nd-order Taylor expansions.  Broadcasts over leading axes.
 
     Parameters
     ----------
-    phi : array_like, shape (3,)
-        Rotation vector in radians.
+    phi : array_like, shape (..., 3)
+        Rotation vector(s) in radians.
 
     Returns
     -------
-    ndarray, shape (3, 3)
-        Proper rotation matrix.
+    ndarray, shape (..., 3, 3)
+        Proper rotation matrix of each vector.
     """
     phi = np.asarray(phi, dtype=float)
-    if phi.shape != (3,) or not np.all(np.isfinite(phi)):
-        raise InvalidArgumentError(f"rotation vector must be a finite 3-vector, got {phi!r}")
-    a = np.linalg.norm(phi)
-    if a < SMALL_ANGLE:
-        s = 1.0 - a * a / 6.0
-        c = 0.5 - a * a / 24.0
-    else:
-        s = np.sin(a) / a
-        c = (1.0 - np.cos(a)) / (a * a)
-    px = skew(phi)
-    return np.eye(3) + s * px + c * (px @ px)
+    if phi.shape[-1:] != (3,) or not np.all(np.isfinite(phi)):
+        raise InvalidArgumentError(
+            f"rotation vectors must be finite with a last axis of 3, got shape {phi.shape}"
+        )
+    a = np.linalg.norm(phi, axis=-1)
+    small = a < SMALL_ANGLE
+    safe = np.where(small, 1.0, a)
+    s = np.where(small, 1.0 - a * a / 6.0, np.sin(a) / safe)
+    c = np.where(small, 0.5 - a * a / 24.0, (1.0 - np.cos(a)) / (safe * safe))
+    # skew() is kept scalar for the per-pair OBA loop, so fill [phi x] here
+    px = np.zeros(phi.shape + (3,))
+    px[..., 0, 1] = -phi[..., 2]
+    px[..., 0, 2] = phi[..., 1]
+    px[..., 1, 0] = phi[..., 2]
+    px[..., 1, 2] = -phi[..., 0]
+    px[..., 2, 0] = -phi[..., 1]
+    px[..., 2, 1] = phi[..., 0]
+    return np.eye(3) + s[..., None, None] * px + c[..., None, None] * (px @ px)
 
 
 def rotvec_to_quat(phi: ArrayLike) -> NDArray[np.float64]:
@@ -187,18 +194,26 @@ def dcm_to_rotvec(C: ArrayLike) -> NDArray[np.float64]:
     return quat_to_rotvec(dcm_to_quat(C))
 
 
-def euler_to_dcm(yaw: float, pitch: float, roll: float) -> NDArray[np.float64]:
-    """Body-to-NED matrix ``C^n_b`` from Z-Y-X Euler angles (radians)."""
+def euler_to_dcm(yaw: ArrayLike, pitch: ArrayLike, roll: ArrayLike) -> NDArray[np.float64]:
+    """Body-to-NED matrix ``C^n_b`` from Z-Y-X Euler angles (radians).
+
+    The three angles broadcast against each other to a shape ``S``; the
+    result has shape ``S + (3, 3)``, a single (3, 3) matrix for scalars.
+    """
     cy, sy = np.cos(yaw), np.sin(yaw)
     cp, sp = np.cos(pitch), np.sin(pitch)
     cr, sr = np.cos(roll), np.sin(roll)
-    return np.array(
-        [
-            [cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
-            [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
-            [-sp, cp * sr, cp * cr],
-        ]
-    )
+    C = np.empty(np.broadcast(cy, cp, cr).shape + (3, 3))
+    C[..., 0, 0] = cy * cp
+    C[..., 0, 1] = cy * sp * sr - sy * cr
+    C[..., 0, 2] = cy * sp * cr + sy * sr
+    C[..., 1, 0] = sy * cp
+    C[..., 1, 1] = sy * sp * sr + cy * cr
+    C[..., 1, 2] = sy * sp * cr - cy * sr
+    C[..., 2, 0] = -sp
+    C[..., 2, 1] = cp * sr
+    C[..., 2, 2] = cp * cr
+    return C
 
 
 def dcm_to_euler(C: ArrayLike) -> tuple[float, float, float]:

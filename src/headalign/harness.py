@@ -18,7 +18,7 @@ from .attitude import angle_diff
 from .errors import InsufficientDataError, InvalidArgumentError
 from .nn.data import make_windows, window_starts
 from .nn.model import HeadingModel, predict_heading
-from .recording import Recording
+from .recording import Recording, sample_rates
 
 __all__ = ["EvalRow", "EvalReport", "evaluate", "nn_method_name"]
 
@@ -104,7 +104,7 @@ def _classical_window_aes(rec: Recording, method: AlignMethod, t_align: float) -
     """One alignment per non-overlapping window, on the exact window
     boundaries the neural evaluation uses."""
     t0 = float(rec.imu.t[0])
-    imu_rate = float(rec.meta.get("scenario", {}).get("imu_rate", 100.0))
+    imu_rate, _ = sample_rates(rec.meta)
     duration = len(rec.imu) / imu_rate
     aes = []
     for w in window_starts(duration, t_align, "eval"):

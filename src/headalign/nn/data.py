@@ -21,9 +21,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..errors import InsufficientDataError, InvalidArgumentError
-from ..recording import Recording
+from ..recording import Recording, sample_rates
 from ..rng import stream
-from ..strapdown import EARTH_RATE, gravity_nav
+from ..strapdown import earth_rate_nav, gravity_nav
 from .layers import avgpool_rate_match
 
 __all__ = ["WindowSet", "make_windows", "window_starts"]
@@ -50,15 +50,7 @@ class WindowSet:
 
 def _nav_rows(aid) -> Array:
     """(6, n) navigation reference rows from the measured latitude."""
-    lat = aid.lat
-    rows = np.empty((6, lat.size))
-    rows[0] = EARTH_RATE * np.cos(lat)
-    rows[1] = 0.0
-    rows[2] = -EARTH_RATE * np.sin(lat)
-    rows[3] = 0.0
-    rows[4] = 0.0
-    rows[5] = np.array([gravity_nav(v)[2] for v in lat])
-    return rows
+    return np.concatenate([earth_rate_nav(aid.lat).T, gravity_nav(aid.lat).T])
 
 
 def window_starts(duration: float, t_align: float, mode: str) -> np.ndarray:
@@ -91,9 +83,7 @@ def make_windows(
 
     x1_all, x2_all, y_all, idx_all, t0_all = [], [], [], [], []
     for ri, rec in enumerate(recordings):
-        scenario = rec.meta.get("scenario", {})
-        imu_rate = float(scenario.get("imu_rate", 100.0))
-        aid_rate = float(scenario.get("aid_rate", 5.0))
+        imu_rate, aid_rate = sample_rates(rec.meta)
         k = int(round(imu_rate / aid_rate))
         n_imu = len(rec.imu)
         duration = n_imu / imu_rate

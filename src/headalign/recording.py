@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidArgumentError, RecordingFormatError
-from .strapdown import AidData, ImuData
+from .errors import InsufficientDataError, InvalidArgumentError, RecordingFormatError
+from .strapdown import AidData, ImuData, require_finite, window_mask
 
 __all__ = ["TruthTrack", "Recording", "write_recording", "read_recording"]
 
@@ -33,6 +33,13 @@ _TRUTH_HEADER = "t,roll,pitch,yaw"
 
 #: Sample spacing may deviate from nominal by at most this (seconds).
 RATE_TOL = 1e-6
+
+
+def sample_rates(meta: dict) -> tuple[float, float]:
+    """``(imu_rate, aid_rate)`` in Hz from a recording's metadata; a
+    recording without a scenario entry is taken as 100 Hz / 5 Hz."""
+    scenario = meta.get("scenario", {})
+    return float(scenario.get("imu_rate", 100.0)), float(scenario.get("aid_rate", 5.0))
 
 
 @dataclass
@@ -48,6 +55,7 @@ class TruthTrack:
         self.euler = np.asarray(self.euler, dtype=float)
         if self.euler.shape != (self.t.size, 3):
             raise InvalidArgumentError("euler must be (n, 3) matching t")
+        require_finite("truth", t=self.t, euler=self.euler)
 
     def __len__(self) -> int:
         return self.t.size
@@ -68,6 +76,8 @@ class Recording:
     meta: dict
 
     def __post_init__(self):
+        if len(self.imu) == 0 or len(self.aid) == 0:
+            raise InsufficientDataError("recording has an empty IMU or aiding stream")
         if abs(self.imu.t[0] - self.aid.t[0]) > 1e-9:
             raise InvalidArgumentError("IMU and aiding streams must start together")
         if self.truth.t.size != self.imu.t.size or np.max(np.abs(self.truth.t - self.imu.t)) > 1e-9:
@@ -81,20 +91,12 @@ class Recording:
         """Sub-recording over ``[t_start, t_end]`` (inclusive grid bounds)."""
         imu = self.imu.slice_window(t_start, t_end)
         aid = self.aid.slice_window(t_start, t_end)
-        m = (self.truth.t >= t_start - 1e-9) & (self.truth.t <= t_end + 1e-9)
+        m = window_mask(self.truth.t, t_start, t_end)
         return Recording(imu, aid, TruthTrack(self.truth.t[m], self.truth.euler[m]), self.meta)
 
 
-def _fmt_row(values) -> str:
-    return ",".join(f"{v:.17g}" for v in values)
-
-
-def _write_csv(path: str, header: str, columns: list[NDArray[np.float64]]) -> None:
-    n = len(columns[0])
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for i in range(n):
-            fh.write(_fmt_row(col[i] for col in columns) + "\n")
+def _write_csv(path: str, header: str, table: NDArray[np.float64]) -> None:
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def _read_csv(path: str, header: str) -> NDArray[np.float64]:
@@ -138,17 +140,17 @@ def write_recording(rec: Recording, path: str) -> None:
     _write_csv(
         os.path.join(path, "imu.csv"),
         _IMU_HEADER,
-        [rec.imu.t] + [rec.imu.omega[:, j] for j in range(3)] + [rec.imu.f[:, j] for j in range(3)],
+        np.column_stack([rec.imu.t, rec.imu.omega, rec.imu.f]),
     )
     _write_csv(
         os.path.join(path, "aid.csv"),
         _AID_HEADER,
-        [rec.aid.t, rec.aid.lat, rec.aid.lon, rec.aid.heading_gt],
+        np.column_stack([rec.aid.t, rec.aid.lat, rec.aid.lon, rec.aid.heading_gt]),
     )
     _write_csv(
         os.path.join(path, "truth.csv"),
         _TRUTH_HEADER,
-        [rec.truth.t] + [rec.truth.euler[:, j] for j in range(3)],
+        np.column_stack([rec.truth.t, rec.truth.euler]),
     )
     meta = dict(rec.meta)
     meta.setdefault("version", FORMAT_VERSION)
@@ -195,9 +197,7 @@ def read_recording(path: str) -> Recording:
     aid_tab = _read_csv(os.path.join(path, "aid.csv"), _AID_HEADER)
     truth_tab = _read_csv(os.path.join(path, "truth.csv"), _TRUTH_HEADER)
 
-    scenario = meta.get("scenario", {})
-    imu_rate = float(scenario.get("imu_rate", 100.0))
-    aid_rate = float(scenario.get("aid_rate", 5.0))
+    imu_rate, aid_rate = sample_rates(meta)
     _check_rate("imu.csv", imu_tab[:, 0], imu_rate)
     _check_rate("aid.csv", aid_tab[:, 0], aid_rate)
 

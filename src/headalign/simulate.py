@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .attitude import wrap_angle
+from .attitude import euler_to_dcm, wrap_angle
 from .errors import InvalidArgumentError
 from .recording import FORMAT_VERSION, Recording, TruthTrack
 from .rng import stream
@@ -197,24 +197,6 @@ def _angle_series(
     return ang, rate
 
 
-def _dcm_batch(roll, pitch, yaw) -> NDArray[np.float64]:
-    """C^n_b for yaw-pitch-roll (Z-Y-X) Euler angles, vectorized."""
-    cf, sf = np.cos(roll), np.sin(roll)
-    ct, st = np.cos(pitch), np.sin(pitch)
-    cp, sp = np.cos(yaw), np.sin(yaw)
-    C = np.empty((roll.size, 3, 3))
-    C[:, 0, 0] = cp * ct
-    C[:, 0, 1] = cp * st * sf - sp * cf
-    C[:, 0, 2] = cp * st * cf + sp * sf
-    C[:, 1, 0] = sp * ct
-    C[:, 1, 1] = sp * st * sf + cp * cf
-    C[:, 1, 2] = sp * st * cf - cp * sf
-    C[:, 2, 0] = -st
-    C[:, 2, 1] = ct * sf
-    C[:, 2, 2] = ct * cf
-    return C
-
-
 def simulate_truth(cfg: ScenarioConfig) -> MotionTruth:
     """Generate the exact ground-truth motion for a scenario.
 
@@ -228,7 +210,7 @@ def simulate_truth(cfg: ScenarioConfig) -> MotionTruth:
     pitch, pitch_rate = _angle_series(t, 0.0, cfg.pitch_osc)
     yaw, yaw_rate = _angle_series(t, cfg.psi0, cfg.heading_osc)
 
-    c_nb = _dcm_batch(roll, pitch, yaw)
+    c_nb = euler_to_dcm(yaw, pitch, roll)
 
     # body rate relative to nav: E(angles) @ [roll_rate, pitch_rate, yaw_rate]
     cf, sf = np.cos(roll), np.sin(roll)

@@ -41,6 +41,29 @@ MAX_PAIRING_SKEW = 0.010
 RENORM_INTERVAL = 1000
 
 
+def window_mask(t: NDArray[np.float64], t_start: float, t_end: float) -> NDArray[np.bool_]:
+    """Samples of ``t`` in ``[t_start, t_end]``, widened by 1e-9 s so that
+    grid times which rounding puts just outside a bound stay in."""
+    return (t >= t_start - 1e-9) & (t <= t_end + 1e-9)
+
+
+def require_finite(what: str, **arrays: NDArray[np.float64]) -> None:
+    """Raise :class:`InvalidArgumentError` naming the first sample of any
+    array that holds a NaN or an infinity."""
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            k = np.nonzero(~np.isfinite(a))[0][0]
+            raise InvalidArgumentError(f"{what} {name} is not finite at sample {k}")
+
+
+def _latitude(lat: ArrayLike) -> NDArray[np.float64]:
+    lat = np.asarray(lat, dtype=float)
+    ok = np.abs(lat) <= np.pi / 2  # False for NaN as well
+    if not ok.all():
+        raise InvalidArgumentError(f"latitude {float(lat[~ok].flat[0])!r} out of [-pi/2, pi/2]")
+    return lat
+
+
 @dataclass
 class ImuData:
     """Gyro/accelerometer stream: ``t`` (s), ``omega`` rad/s, ``f`` m/s^2."""
@@ -55,6 +78,7 @@ class ImuData:
         self.f = np.asarray(self.f, dtype=float)
         if self.omega.shape != (self.t.size, 3) or self.f.shape != (self.t.size, 3):
             raise InvalidArgumentError("omega and f must be (n, 3) arrays matching t")
+        require_finite("IMU", t=self.t, omega=self.omega, f=self.f)
         if self.t.size >= 2 and np.any(np.diff(self.t) <= 0):
             raise InvalidArgumentError("IMU timestamps must be strictly increasing")
 
@@ -62,7 +86,7 @@ class ImuData:
         return self.t.size
 
     def slice_window(self, t_start: float, t_end: float) -> "ImuData":
-        m = (self.t >= t_start - 1e-9) & (self.t <= t_end + 1e-9)
+        m = window_mask(self.t, t_start, t_end)
         return ImuData(self.t[m], self.omega[m], self.f[m])
 
 
@@ -84,16 +108,16 @@ class AidData:
         for name in ("lat", "lon", "heading_gt"):
             if getattr(self, name).shape != (n,):
                 raise InvalidArgumentError(f"{name} must match t in length")
+        require_finite("aiding", t=self.t, lat=self.lat, lon=self.lon, heading_gt=self.heading_gt)
         if n >= 2 and np.any(np.diff(self.t) <= 0):
             raise InvalidArgumentError("aiding timestamps must be strictly increasing")
-        if np.any(np.abs(self.lat) > np.pi / 2):
-            raise InvalidArgumentError("latitude out of [-pi/2, pi/2]")
+        _latitude(self.lat)
 
     def __len__(self) -> int:
         return self.t.size
 
     def slice_window(self, t_start: float, t_end: float) -> "AidData":
-        m = (self.t >= t_start - 1e-9) & (self.t <= t_end + 1e-9)
+        m = window_mask(self.t, t_start, t_end)
         return AidData(self.t[m], self.lat[m], self.lon[m], self.heading_gt[m])
 
 
@@ -120,42 +144,29 @@ class ObservationSeries:
         return len(self.times)
 
 
-def earth_rate_nav(lat: float, omega: float = EARTH_RATE) -> NDArray[np.float64]:
+def earth_rate_nav(lat: ArrayLike, omega: float = EARTH_RATE) -> NDArray[np.float64]:
     """Earth rotation rate in NED at latitude ``lat`` (quasi-stationary,
     so the craft-rate contribution is zero).
 
-    Returns ``[omega cos(lat), 0, -omega sin(lat)]``.
+    Returns ``[omega cos(lat), 0, -omega sin(lat)]``, shape ``lat.shape + (3,)``.
     """
-    if not np.isfinite(lat) or abs(lat) > np.pi / 2:
-        raise InvalidArgumentError(f"latitude {lat!r} out of [-pi/2, pi/2]")
-    return np.array([omega * np.cos(lat), 0.0, -omega * np.sin(lat)])
+    lat = _latitude(lat)
+    w = np.zeros(lat.shape + (3,))
+    w[..., 0] = omega * np.cos(lat)
+    w[..., 2] = -omega * np.sin(lat)
+    return w
 
 
-def gravity_nav(lat: float) -> NDArray[np.float64]:
-    """Local gravity vector in NED (Down-positive), Somigliana model."""
-    if not np.isfinite(lat) or abs(lat) > np.pi / 2:
-        raise InvalidArgumentError(f"latitude {lat!r} out of [-pi/2, pi/2]")
+def gravity_nav(lat: ArrayLike) -> NDArray[np.float64]:
+    """Local gravity vector in NED (Down-positive), Somigliana model.
+
+    Returns ``[0, 0, g(lat)]``, shape ``lat.shape + (3,)``.
+    """
+    lat = _latitude(lat)
     s2 = np.sin(lat) ** 2
-    g = 9.7803253359 * (1.0 + 0.00193185265241 * s2) / np.sqrt(1.0 - 0.00669437999013 * s2)
-    return np.array([0.0, 0.0, g])
-
-
-def _step_dcms(dphi: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Vectorized Rodrigues formula over a batch of small rotation vectors."""
-    a = np.linalg.norm(dphi, axis=1)
-    small = a < 1e-8
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s = np.where(small, 1.0 - a * a / 6.0, np.sin(a) / np.where(small, 1.0, a))
-        c = np.where(small, 0.5 - a * a / 24.0, (1.0 - np.cos(a)) / np.where(small, 1.0, a * a))
-    n = dphi.shape[0]
-    px = np.zeros((n, 3, 3))
-    px[:, 0, 1] = -dphi[:, 2]
-    px[:, 0, 2] = dphi[:, 1]
-    px[:, 1, 0] = dphi[:, 2]
-    px[:, 1, 2] = -dphi[:, 0]
-    px[:, 2, 0] = -dphi[:, 1]
-    px[:, 2, 1] = dphi[:, 0]
-    return np.eye(3) + s[:, None, None] * px + c[:, None, None] * (px @ px)
+    g = np.zeros(lat.shape + (3,))
+    g[..., 2] = 9.7803253359 * (1.0 + 0.00193185265241 * s2) / np.sqrt(1.0 - 0.00669437999013 * s2)
+    return g
 
 
 def _chain(step_dcms: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -199,7 +210,7 @@ def integrate_body_frame(t: ArrayLike, omega: ArrayLike) -> NDArray[np.float64]:
     dtheta = 0.5 * (omega[:-1] + omega[1:]) * dt
     dphi = dtheta.copy()
     dphi[1:] += np.cross(dtheta[:-1], dtheta[1:]) / 12.0
-    return _chain(_step_dcms(dphi))
+    return _chain(rotvec_to_dcm(dphi))
 
 
 def integrate_nav_frame(
@@ -212,15 +223,12 @@ def integrate_nav_frame(
     test hook: setting it to 0 yields identity tracks.
     """
     t = np.asarray(t, dtype=float)
-    lat = np.asarray(lat, dtype=float)
     if t.size < 2:
         raise InsufficientDataError("nav-frame integration needs at least 2 samples")
-    w = np.stack(
-        [omega * np.cos(lat), np.zeros_like(lat), -omega * np.sin(lat)], axis=1
-    )
+    w = earth_rate_nav(lat, omega)
     dt = np.diff(t)[:, None]
     dtheta = 0.5 * (w[:-1] + w[1:]) * dt
-    return _chain(_step_dcms(dtheta))
+    return _chain(rotvec_to_dcm(dtheta))
 
 
 def _pair_indices(imu_t: NDArray[np.float64], aid_t: NDArray[np.float64]) -> NDArray[np.intp]:

@@ -258,6 +258,15 @@ class TestAlignHeading:
         with pytest.raises(InsufficientDataError):
             align_heading(short, AlignMethod.I_OBA, 60.0)
 
+    @pytest.mark.parametrize("method", list(AlignMethod))
+    def test_non_finite_sample_is_rejected(self, clean_recording, method):
+        # a NaN written into the arrays after construction is caught when the
+        # window is sliced, the same way for every method
+        rec = clean_recording.slice_window(0.0, 60.0)
+        rec.imu.f[7, 0] = np.nan
+        with pytest.raises(InvalidArgumentError, match="IMU f is not finite at sample 7"):
+            align_heading(rec, method, 30.0)
+
     def test_window_is_half_open(self, clean_recording):
         # a 60 s window at 5 Hz aiding holds samples 0.0 .. 59.8, not 60.0
         est = align_heading(clean_recording, AlignMethod.A_OBA, 60.0)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import filecmp
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -76,6 +77,21 @@ def test_error_envelope_on_stderr(tmp_path, capsys):
     assert captured.out == ""
     doc = json.loads(captured.err)
     assert set(doc) == {"error", "message"}
+
+
+def test_align_rejects_non_finite_recording(data_dir, tmp_path, capsys):
+    bad = tmp_path / "dock"
+    shutil.copytree(os.path.join(data_dir, "dock"), bad)
+    lines = (bad / "imu.csv").read_text().splitlines(keepends=True)
+    parts = lines[8].split(",")
+    parts[5] = "nan"
+    lines[8] = ",".join(parts)
+    (bad / "imu.csv").write_text("".join(lines))
+    rc = main(["align", "--recording", str(bad), "--method", "I-OBA", "--t-align", "30"])
+    assert rc == 1
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "recording-format"
+    assert "not finite at sample 7" in doc["message"]
 
 
 def test_unseeded_training_is_refused(data_dir, tmp_path, capsys):

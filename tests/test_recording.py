@@ -7,8 +7,14 @@ import os
 import numpy as np
 import pytest
 
-from headalign.errors import InvalidArgumentError, RecordingFormatError
-from headalign.recording import Recording, TruthTrack, read_recording, write_recording
+from headalign.errors import InsufficientDataError, InvalidArgumentError, RecordingFormatError
+from headalign.recording import (
+    Recording,
+    TruthTrack,
+    _write_csv,
+    read_recording,
+    write_recording,
+)
 from headalign.simulate import DEFAULT_SENSORS, ScenarioConfig, simulate_recording
 from headalign.strapdown import AidData, ImuData
 
@@ -196,3 +202,36 @@ def test_rate_tolerance_violation_detected(rec, rec_dir):
     _patch_line(rec_dir / "imu.csv", 11, ",".join(parts) + "\n")
     with pytest.raises(RecordingFormatError):
         read_recording(str(rec_dir))
+
+
+def test_csv_writer_matches_repr_digits_on_edge_values(tmp_path):
+    # every value is written exactly as f"{v:.17g}" would write it
+    edge = [-0.0, 5e-324, np.finfo(float).max, np.nan, np.inf, -np.inf]
+    rng = np.random.default_rng(4)
+    table = np.vstack([np.array(edge).reshape(2, 3), rng.normal(size=(10, 3)) * 1e3])
+    path = tmp_path / "t.csv"
+    _write_csv(str(path), "a,b,c", table)
+    expected = ["a,b,c"] + [",".join(f"{v:.17g}" for v in row) for row in table]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+def test_truth_track_rejects_non_finite(rec):
+    euler = rec.truth.euler.copy()
+    euler[3, 2] = np.inf
+    with pytest.raises(InvalidArgumentError, match="truth euler is not finite at sample 3"):
+        TruthTrack(rec.truth.t, euler)
+
+
+@pytest.mark.parametrize("name, value", [("imu.csv", "nan"), ("aid.csv", "inf"), ("truth.csv", "-inf")])
+def test_non_finite_field_is_a_format_error(rec_dir, name, value):
+    lines = (rec_dir / name).read_text().splitlines()
+    parts = lines[8].split(",")
+    parts[-1] = value
+    _patch_line(rec_dir / name, 9, ",".join(parts) + "\n")
+    with pytest.raises(RecordingFormatError, match="not finite at sample 7"):
+        read_recording(str(rec_dir))
+
+
+def test_empty_streams_are_insufficient_data(rec):
+    with pytest.raises(InsufficientDataError):
+        rec.slice_window(1000.0, 1010.0)

@@ -40,6 +40,20 @@ def test_earth_rate_rejects_bad_latitude():
         earth_rate_nav(2.0)
     with pytest.raises(InvalidArgumentError):
         earth_rate_nav(np.nan)
+    for f in (earth_rate_nav, gravity_nav):
+        with pytest.raises(InvalidArgumentError):
+            f(np.array([0.1, 0.2, np.inf]))
+        with pytest.raises(InvalidArgumentError):
+            f(np.array([[0.1, -1.6]]))
+
+
+def test_reference_models_batch_equal_scalar_calls_exactly():
+    lat = np.deg2rad(np.linspace(-90.0, 90.0, 37)).reshape(37, 1)
+    for f in (earth_rate_nav, gravity_nav):
+        batch = f(lat)
+        assert batch.shape == (37, 1, 3)
+        for k in range(37):
+            np.testing.assert_array_equal(batch[k, 0], f(float(lat[k, 0])))
 
 
 def test_gravity_model_reference_values():
@@ -219,6 +233,14 @@ def test_imu_data_validation():
         ImuData(t, np.zeros((3, 3)), np.zeros((3, 3)))
     with pytest.raises(InvalidArgumentError):
         ImuData(np.array([0.0, 0.01]), np.zeros((3, 2)), np.zeros((2, 3)))
+    t = np.arange(10) * 0.01
+    for bad in (np.nan, np.inf, -np.inf):
+        f = np.zeros((10, 3))
+        f[7, 1] = bad
+        with pytest.raises(InvalidArgumentError, match="IMU f is not finite at sample 7"):
+            ImuData(t, np.zeros((10, 3)), f)
+    with pytest.raises(InvalidArgumentError, match="IMU t"):
+        ImuData(np.array([0.0, np.nan]), np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 def test_aid_data_validation():
@@ -226,3 +248,8 @@ def test_aid_data_validation():
         AidData(np.array([0.0, 0.2]), np.array([0.0, 2.0]), np.zeros(2), np.zeros(2))
     with pytest.raises(InvalidArgumentError):
         AidData(np.array([0.2, 0.0]), np.zeros(2), np.zeros(2), np.zeros(2))
+    for name in ("lat", "lon", "heading_gt"):
+        cols = {"lat": np.zeros(3), "lon": np.zeros(3), "heading_gt": np.zeros(3)}
+        cols[name][1] = np.nan
+        with pytest.raises(InvalidArgumentError, match=f"aiding {name} is not finite at sample 1"):
+            AidData(np.array([0.0, 0.2, 0.4]), **cols)

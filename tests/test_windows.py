@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from headalign.errors import InsufficientDataError, InvalidArgumentError
-from headalign.nn.data import make_windows, window_starts
-from headalign.strapdown import EARTH_RATE, gravity_nav
+from headalign.nn.data import _nav_rows, make_windows, window_starts
+from headalign.strapdown import EARTH_RATE, AidData, earth_rate_nav, gravity_nav
 
 
 def test_train_starts_are_one_second_stride():
@@ -62,6 +62,16 @@ def test_branch2_rows_are_nav_reference(noisy_recording, gentle_scenario):
     np.testing.assert_array_equal(ws.x2[0, 0, 3], np.zeros(50))
     np.testing.assert_array_equal(ws.x2[0, 0, 4], np.zeros(50))
     np.testing.assert_allclose(ws.x2[0, 0, 5], gravity_nav(lat)[2], atol=1e-15)
+
+
+def test_nav_rows_equal_per_sample_reference_calls():
+    lat = np.deg2rad(np.linspace(-60.0, 60.0, 25))
+    aid = AidData(np.arange(25) * 0.2, lat, np.zeros(25), np.zeros(25))
+    rows = _nav_rows(aid)
+    assert rows.shape == (6, 25)
+    for k, v in enumerate(lat):
+        np.testing.assert_array_equal(rows[:3, k], earth_rate_nav(float(v)))
+        np.testing.assert_array_equal(rows[3:, k], gravity_nav(float(v)))
 
 
 def test_train_shuffle_is_seeded(noisy_recording):
