@@ -157,18 +157,19 @@ def dva_solve(
 
 
 def _h_plus(u: NDArray[np.float64]) -> NDArray[np.float64]:
-    H = np.zeros((4, 4))
-    H[0, 1:] = -u
-    H[1:, 0] = u
-    H[1:, 1:] = skew(u)
+    """``_h_plus(u) @ q`` is the quaternion product ``(0, u) q``;
+    broadcasts ``(..., 3)`` to ``(..., 4, 4)``."""
+    H = np.zeros(u.shape[:-1] + (4, 4))
+    H[..., 0, 1:] = -u
+    H[..., 1:, 0] = u
+    H[..., 1:, 1:] = skew(u)
     return H
 
 
 def _h_minus(u: NDArray[np.float64]) -> NDArray[np.float64]:
-    H = np.zeros((4, 4))
-    H[0, 1:] = -u
-    H[1:, 0] = u
-    H[1:, 1:] = -skew(u)
+    """``_h_minus(u) @ q`` is the quaternion product ``q (0, u)``."""
+    H = _h_plus(u)
+    H[..., 1:, 1:] *= -1.0
     return H
 
 
@@ -185,19 +186,27 @@ class WahbaAccumulator:
 def oba_accumulate(
     acc: WahbaAccumulator, u_n0: ArrayLike, u_b0: ArrayLike
 ) -> WahbaAccumulator:
-    """Add one observation pair to the accumulator.
+    """Add one observation pair, shape ``(3,)``, or a batch of pairs,
+    shape ``(n, 3)``, to the accumulator.
 
-    Vectors are unit-normalized before entering the cost; zero vectors
-    are skipped and counted in ``acc.skipped``.
+    Vectors are unit-normalized before entering the cost; a pair with a
+    zero vector is skipped and counted in ``acc.skipped``.  Non-finite
+    vectors and mismatched shapes raise :class:`InvalidArgumentError`.
     """
-    u_n0 = np.asarray(u_n0, dtype=float)
-    u_b0 = np.asarray(u_b0, dtype=float)
-    if np.linalg.norm(u_n0) < 1e-12 or np.linalg.norm(u_b0) < 1e-12:
-        acc.skipped += 1
-        return acc
-    B = _h_plus(u_n0 / np.linalg.norm(u_n0)) - _h_minus(u_b0 / np.linalg.norm(u_b0))
-    acc.K += B.T @ B
-    acc.count += 1
+    u_n0, u_b0 = np.asarray(u_n0, dtype=float), np.asarray(u_b0, dtype=float)
+    if u_n0.shape != u_b0.shape or u_n0.shape[-1:] != (3,) or u_n0.ndim > 2:
+        raise InvalidArgumentError(
+            f"pairs must share shape (3,) or (n, 3), got {u_n0.shape} and {u_b0.shape}"
+        )
+    u = np.stack([u_n0, u_b0]).reshape(2, -1, 3)
+    norm = np.linalg.norm(u, axis=-1, keepdims=True)
+    # a NaN norm compares False, so a non-finite pair reaches skew() and raises
+    keep = ~np.any(norm < 1e-12, axis=(0, 2))
+    n0, b0 = u[:, keep] / norm[:, keep]
+    B = _h_plus(n0) - _h_minus(b0)
+    acc.K += np.einsum("kji,kjl->il", B, B)
+    acc.count += int(np.count_nonzero(keep))
+    acc.skipped += int(np.count_nonzero(~keep))
     return acc
 
 
@@ -303,8 +312,8 @@ def align_heading(
     """
     if not isinstance(method, AlignMethod):
         method = AlignMethod(method)
-    if t_align < 2.0:
-        raise InvalidArgumentError(f"alignment window must be >= 2 s, got {t_align}")
+    if not np.isfinite(t_align) or t_align < 2.0:
+        raise InvalidArgumentError(f"alignment window must be finite and >= 2 s, got {t_align}")
 
     t0 = float(rec.imu.t[0])
     t_end = t0 + float(t_align)
@@ -330,10 +339,7 @@ def align_heading(
         i1, i2 = _dva_indices(obs, dva_fractions)
         C_n0_b0 = dva_solve(obs.u_n0[i1], obs.u_n0[i2], obs.u_b0[i1], obs.u_b0[i2])
     else:
-        acc = WahbaAccumulator()
-        for k in range(len(obs)):
-            oba_accumulate(acc, obs.u_n0[k], obs.u_b0[k])
-        _, C_n0_b0 = oba_solve(acc)
+        _, C_n0_b0 = oba_solve(oba_accumulate(WahbaAccumulator(), obs.u_n0, obs.u_b0))
 
     # C^n_b(t_e) = C^n_{n0}(t_e) C^{n0}_{b0} C^{b0}_b(t_e) at the last aiding time
     k_body = int(np.searchsorted(imu.t, aid.t[-1] + 1e-9, side="right") - 1)

@@ -45,26 +45,16 @@ SMALL_ANGLE = 1e-8
 def skew(v: ArrayLike) -> NDArray[np.float64]:
     """Skew-symmetric cross-product matrix, ``skew(v) @ w == cross(v, w)``.
 
-    Parameters
-    ----------
-    v : array_like, shape (3,)
-        Input vector with finite components.
-
-    Returns
-    -------
-    ndarray, shape (3, 3)
-        Antisymmetric matrix.
+    Broadcasts finite vectors of shape ``(..., 3)`` to ``(..., 3, 3)``.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape != (3,) or not np.all(np.isfinite(v)):
-        raise InvalidArgumentError(f"skew expects a finite 3-vector, got {v!r}")
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    if v.shape[-1:] != (3,) or not np.all(np.isfinite(v)):
+        raise InvalidArgumentError(
+            f"skew expects finite vectors with a last axis of 3, got shape {v.shape}"
+        )
+    x, y, z = np.moveaxis(v, -1, 0)
+    o = np.zeros_like(x)
+    return np.stack([o, -z, y, z, o, -x, -y, x, o], axis=-1).reshape(v.shape + (3,))
 
 
 def rotvec_to_dcm(phi: ArrayLike) -> NDArray[np.float64]:
@@ -94,14 +84,7 @@ def rotvec_to_dcm(phi: ArrayLike) -> NDArray[np.float64]:
     safe = np.where(small, 1.0, a)
     s = np.where(small, 1.0 - a * a / 6.0, np.sin(a) / safe)
     c = np.where(small, 0.5 - a * a / 24.0, (1.0 - np.cos(a)) / (safe * safe))
-    # skew() is kept scalar for the per-pair OBA loop, so fill [phi x] here
-    px = np.zeros(phi.shape + (3,))
-    px[..., 0, 1] = -phi[..., 2]
-    px[..., 0, 2] = phi[..., 1]
-    px[..., 1, 0] = phi[..., 2]
-    px[..., 1, 2] = -phi[..., 0]
-    px[..., 2, 0] = -phi[..., 1]
-    px[..., 2, 1] = phi[..., 0]
+    px = skew(phi)
     return np.eye(3) + s[..., None, None] * px + c[..., None, None] * (px @ px)
 
 

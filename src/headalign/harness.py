@@ -130,6 +130,8 @@ def evaluate(
         raise InvalidArgumentError("method list is empty")
     if not t_aligns:
         raise InvalidArgumentError("alignment-time list is empty")
+    for T in t_aligns:
+        window_starts(0.0, T, "eval")  # rejects a non-finite or non-positive T before any work
     if not recordings:
         raise InsufficientDataError("no recordings to evaluate")
     models = models or {}

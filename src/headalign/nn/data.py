@@ -55,7 +55,10 @@ def _nav_rows(aid) -> Array:
 
 def window_starts(duration: float, t_align: float, mode: str) -> np.ndarray:
     """Whole-second window start offsets: stride 1 s for train, stride
-    ``t_align`` (non-overlapping) for eval."""
+    ``t_align`` (non-overlapping) for eval.  ``t_align`` must be finite
+    and positive."""
+    if not (np.isfinite(t_align) and t_align > 0):
+        raise InvalidArgumentError(f"window length must be finite and > 0 s, got {t_align}")
     if mode == "train":
         last = int(np.floor(duration - t_align + 1e-9))
         return np.arange(0, last + 1)
@@ -87,6 +90,7 @@ def make_windows(
         k = int(round(imu_rate / aid_rate))
         n_imu = len(rec.imu)
         duration = n_imu / imu_rate
+        starts = window_starts(duration, t_align, mode)
         if duration + 1e-9 < t_align:
             raise InsufficientDataError(
                 f"recording {ri} covers {duration:.1f} s < window {t_align:.1f} s"
@@ -97,7 +101,7 @@ def make_windows(
         pooled = avgpool_rate_match(body[:, : (n_imu // k) * k], k)
         nav = _nav_rows(rec.aid)
 
-        for w in window_starts(duration, t_align, mode):
+        for w in starts:
             j0 = int(round(w * aid_rate))
             j1 = j0 + width
             if j1 > pooled.shape[1] or j1 > nav.shape[1]:

@@ -78,6 +78,9 @@ class ScenarioConfig:
         object.__setattr__(self, "heading_osc", _osc_list(self.heading_osc))
         object.__setattr__(self, "roll_osc", _osc_list(self.roll_osc))
         object.__setattr__(self, "pitch_osc", _osc_list(self.pitch_osc))
+        for name in ("duration", "lat", "lon", "psi0", "imu_rate", "aid_rate"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidArgumentError(f"{name} must be finite, got {getattr(self, name)}")
         if self.duration <= 0:
             raise InvalidArgumentError("duration must be positive")
         if self.imu_rate <= 0 or self.aid_rate <= 0:

@@ -121,6 +121,11 @@ class TestQuaternionProductMatrices:
             np.testing.assert_allclose(
                 _h_plus(u) @ q, quat_mul(np.r_[0.0, u], q), atol=1e-13
             )
+        U = rng.normal(size=(7, 3))
+        H = _h_plus(U)
+        assert H.shape == (7, 4, 4)
+        for k in range(7):
+            np.testing.assert_array_equal(H[k], _h_plus(U[k]))
 
     def test_h_minus_is_right_product(self):
         rng = np.random.default_rng(15)
@@ -129,6 +134,11 @@ class TestQuaternionProductMatrices:
             np.testing.assert_allclose(
                 _h_minus(u) @ q, quat_mul(q, np.r_[0.0, u]), atol=1e-13
             )
+        U = rng.normal(size=(2, 3, 3))
+        H = _h_minus(U)
+        assert H.shape == (2, 3, 4, 4)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_array_equal(H[idx], _h_minus(U[idx]))
 
 
 class TestJacobiEigh:
@@ -174,6 +184,54 @@ class TestObaSolve:
         oba_accumulate(acc, np.zeros(3), np.array([1.0, 0.0, 0.0]))
         assert acc.count == 0 and acc.skipped == 1
         np.testing.assert_array_equal(acc.K, np.zeros((4, 4)))
+
+    def test_batch_equals_per_pair_loop(self):
+        # relative tolerance on K: the batch sums the same per-pair
+        # matrices in a different order, nothing else changes
+        rel_tol = 1e-12
+        rng = np.random.default_rng(19)
+        for n in (1, 2, 50, 1200):
+            u_n0, u_b0 = make_pairs(rng, random_rotation(rng), n)
+            u_n0 = u_n0 * rng.uniform(0.5, 20.0, size=(n, 1))  # not unit length
+            u_n0[0] = u_b0[0] = 0.0  # integrated observations start at zero
+            if n > 2:
+                u_n0[n // 2] = 0.0  # zero on one side only, mid-batch
+                u_b0[n // 3] = 1e-13  # below the 1e-12 norm cut-off
+            loop = WahbaAccumulator()
+            for k in range(n):
+                oba_accumulate(loop, u_n0[k], u_b0[k])
+            batch = oba_accumulate(WahbaAccumulator(), u_n0, u_b0)
+            assert (batch.count, batch.skipped) == (loop.count, loop.skipped)
+            assert batch.skipped == (1 if n <= 2 else 3)
+            scale = max(1.0, np.max(np.abs(loop.K)))
+            np.testing.assert_allclose(batch.K, loop.K, rtol=0, atol=rel_tol * scale)
+        # a batch adds onto what the accumulator already holds
+        acc = oba_accumulate(WahbaAccumulator(), u_n0[:500], u_b0[:500])
+        oba_accumulate(acc, u_n0[500:], u_b0[500:])
+        assert (acc.count, acc.skipped) == (batch.count, batch.skipped)
+        np.testing.assert_allclose(acc.K, batch.K, rtol=0, atol=rel_tol * scale)
+
+    @pytest.mark.parametrize(
+        "u_n0, u_b0",
+        [
+            ([np.nan, 0.0, 1.0], [0.0, 0.0, 1.0]),
+            ([0.0, 0.0, 1.0], [np.inf, 0.0, 1.0]),
+            ([[0.0, 0.0, 1.0], [np.nan, 0.0, 1.0]], [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]),
+        ],
+    )
+    def test_non_finite_pair_raises(self, u_n0, u_b0):
+        acc = WahbaAccumulator()
+        with pytest.raises(InvalidArgumentError):
+            oba_accumulate(acc, u_n0, u_b0)
+        assert acc.count == 0 and acc.skipped == 0
+
+    @pytest.mark.parametrize(
+        "shape_n0, shape_b0",
+        [((3,), (2, 3)), ((4, 3), (5, 3)), ((4,), (4,)), ((2, 2), (2, 2)), ((2, 2, 3), (2, 2, 3))],
+    )
+    def test_misshapen_pairs_raise(self, shape_n0, shape_b0):
+        with pytest.raises(InvalidArgumentError):
+            oba_accumulate(WahbaAccumulator(), np.ones(shape_n0), np.ones(shape_b0))
 
     def test_needs_two_pairs(self):
         acc = WahbaAccumulator()

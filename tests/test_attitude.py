@@ -51,12 +51,30 @@ def test_skew_reproduces_cross_product():
     for _ in range(20):
         v, w = rng.normal(size=3), rng.normal(size=3)
         np.testing.assert_allclose(skew(v) @ w, np.cross(v, w), atol=1e-15)
+    # a batch equals the per-row calls exactly, for any leading shape
+    V = rng.normal(size=(4, 5, 3))
+    S = skew(V)
+    assert S.shape == (4, 5, 3, 3)
+    for idx in np.ndindex(4, 5):
+        np.testing.assert_array_equal(S[idx], skew(V[idx]))
+    assert skew(np.zeros((0, 3))).shape == (0, 3, 3)
 
 
 def test_skew_is_antisymmetric():
     s = skew([1.0, 2.0, 3.0])
     np.testing.assert_array_equal(s, -s.T)
     assert s[0, 1] == -3.0 and s[0, 2] == 2.0 and s[1, 2] == -1.0
+    S = skew(np.random.default_rng(2).normal(size=(6, 3)))
+    np.testing.assert_array_equal(S, -np.swapaxes(S, -1, -2))
+
+
+@pytest.mark.parametrize(
+    "v",
+    [[np.nan, 0.0, 1.0], [[1.0, 0.0, 0.0], [0.0, np.inf, 0.0]], np.zeros(4), np.zeros((2, 2)), 1.0],
+)
+def test_skew_rejects_non_finite_or_misshapen_input(v):
+    with pytest.raises(InvalidArgumentError):
+        skew(v)
 
 
 @pytest.mark.parametrize(

@@ -94,6 +94,50 @@ def test_align_rejects_non_finite_recording(data_dir, tmp_path, capsys):
     assert "not finite at sample 7" in doc["message"]
 
 
+@pytest.mark.parametrize("t_aligns", ["0", "nan", "inf", "-10", "10,nan"])
+def test_evaluate_rejects_bad_window_length(data_dir, tmp_path, capsys, t_aligns):
+    rc = main(["evaluate", "--data", data_dir, f"--t-aligns={t_aligns}",
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "invalid-argument"
+    assert "window length must be finite and > 0 s" in doc["message"]
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("t_align", ["nan", "inf", "1"])
+def test_align_rejects_bad_window_length(data_dir, capsys, t_align):
+    rc = main(["align", "--recording", os.path.join(data_dir, "dock"),
+               "--method", "I-OBA", "--t-align", t_align])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "invalid-argument"
+
+
+@pytest.mark.parametrize("duration", ["nan", "inf"])
+def test_simulate_rejects_non_finite_duration(tmp_path, capsys, duration):
+    rc = main(["simulate", "--sensors", "none", "--duration", duration,
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    doc = json.loads(capsys.readouterr().err)
+    assert doc == {"error": "invalid-argument", "message": f"duration must be finite, got {duration}"}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field", ["duration", "lat", "lon", "psi0", "imu_rate", "aid_rate"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_simulate_config_rejects_non_finite_field(scenario_file, tmp_path, capsys, field, value):
+    doc = json.load(open(scenario_file))
+    doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))  # json writes NaN/Infinity tokens and reads them back
+    rc = main(["simulate", "--config", str(bad), "--sensors", "none",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-argument"
+    assert err["message"].startswith(f"{field} must be finite")
+
+
 def test_unseeded_training_is_refused(data_dir, tmp_path, capsys):
     rc = main(["train", "--variation", "10", "--data", data_dir,
                "--out-dir", str(tmp_path)])
@@ -136,6 +180,16 @@ def test_evaluate_json_format_writes_report_only(data_dir, trained_dir, tmp_path
     methods = {r["method"] for r in doc["rows"]}
     assert methods == {"I-OBA", "A-OBA", "HeadingNet10"}
     assert len(doc["improvements"]) == 1
+
+
+@pytest.mark.parametrize("t_aligns", ["nan", "inf"])
+def test_evaluate_neural_only_rejects_bad_window_length(data_dir, trained_dir, tmp_path, capsys, t_aligns):
+    rc = main(["evaluate", "--data", data_dir, "--methods", "HeadingNet10",
+               "--t-aligns", t_aligns,
+               "--checkpoint", os.path.join(trained_dir, "headingnet10.ckpt"),
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "invalid-argument"
 
 
 @pytest.fixture(scope="module")

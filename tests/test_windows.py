@@ -19,6 +19,15 @@ def test_eval_starts_are_non_overlapping():
     np.testing.assert_array_equal(window_starts(29.0, 30.0, "eval"), [])
 
 
+@pytest.mark.parametrize("t_align", [0.0, -10.0, np.nan, np.inf])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_bad_window_length_is_rejected(noisy_recording, t_align, mode):
+    with pytest.raises(InvalidArgumentError, match="window length must be finite and > 0 s"):
+        window_starts(130.0, t_align, mode)
+    with pytest.raises(InvalidArgumentError, match="window length must be finite and > 0 s"):
+        make_windows([noisy_recording], t_align, mode)
+
+
 def test_train_window_count_130s(noisy_recording):
     ws = make_windows([noisy_recording], 10.0, "train", seed=0)
     assert len(ws) == 121
