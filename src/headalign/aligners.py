@@ -34,6 +34,7 @@ from .strapdown import (
     integrate_nav_frame,
     observation_instantaneous,
     observation_integrated,
+    require_finite,
 )
 
 __all__ = [
@@ -199,8 +200,8 @@ def oba_accumulate(
             f"pairs must share shape (3,) or (n, 3), got {u_n0.shape} and {u_b0.shape}"
         )
     u = np.stack([u_n0, u_b0]).reshape(2, -1, 3)
+    require_finite("observation", u_n0=u[0], u_b0=u[1])
     norm = np.linalg.norm(u, axis=-1, keepdims=True)
-    # a NaN norm compares False, so a non-finite pair reaches skew() and raises
     keep = ~np.any(norm < 1e-12, axis=(0, 2))
     n0, b0 = u[:, keep] / norm[:, keep]
     B = _h_plus(n0) - _h_minus(b0)

@@ -44,13 +44,20 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _load_scenarios(path: str) -> list[ScenarioConfig]:
+def _load_json(path: str):
     with open(path) as fh:
-        doc = json.load(fh)
-    if isinstance(doc, dict) and "scenarios" in doc:
-        doc = doc["scenarios"]
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidArgumentError(f"malformed JSON in {path}: {exc}") from exc
+
+
+def _load_scenarios(path: str) -> list[ScenarioConfig]:
+    doc = _load_json(path)
     if isinstance(doc, dict):
-        doc = [doc]
+        doc = doc["scenarios"] if "scenarios" in doc else [doc]
+    if not isinstance(doc, list):
+        raise InvalidArgumentError(f"{path} must hold a scenario object or {{'scenarios': [...]}}")
     return [ScenarioConfig.from_dict(d) for d in doc]
 
 
@@ -59,8 +66,7 @@ def _load_sensors(arg: str) -> SensorSpec:
         return DEFAULT_SENSORS
     if arg == "none":
         return NOISE_FREE
-    with open(arg) as fh:
-        return SensorSpec.from_dict(json.load(fh))
+    return SensorSpec.from_dict(_load_json(arg))
 
 
 def _recordings_in(data_dir: str, names: list[str] | None = None):

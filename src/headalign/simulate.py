@@ -10,7 +10,7 @@ keyed random stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -19,7 +19,7 @@ from .attitude import euler_to_dcm, wrap_angle
 from .errors import InvalidArgumentError
 from .recording import FORMAT_VERSION, Recording, TruthTrack
 from .rng import stream
-from .strapdown import AidData, ImuData, earth_rate_nav, gravity_nav
+from .strapdown import AidData, ImuData, _latitude, earth_rate_nav, gravity_nav
 
 __all__ = [
     "Oscillation",
@@ -41,6 +41,16 @@ EARTH_RADIUS = 6378137.0
 STANDARD_GRAVITY = 9.80665
 
 
+def _number(name: str, v) -> float:
+    """``v`` as a finite float, else :class:`InvalidArgumentError` naming ``name``."""
+    try:
+        if np.isfinite(x := float(v)):
+            return x
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"{name} must be a number, got {v!r}") from None
+    raise InvalidArgumentError(f"{name} must be finite, got {x}")
+
+
 @dataclass(frozen=True)
 class Oscillation:
     """One sinusoidal component: ``amp_deg * sin(2 pi t / period_s + phase_rad)``."""
@@ -50,12 +60,19 @@ class Oscillation:
     phase_rad: float = 0.0
 
     def __post_init__(self):
+        for name in ("amp_deg", "period_s", "phase_rad"):
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
         if self.period_s <= 0:
             raise InvalidArgumentError(f"oscillation period must be > 0, got {self.period_s}")
 
 
-def _osc_list(items) -> tuple[Oscillation, ...]:
-    return tuple(o if isinstance(o, Oscillation) else Oscillation(*o) for o in items)
+def _osc_list(name: str, items) -> tuple[Oscillation, ...]:
+    try:
+        return tuple(o if isinstance(o, Oscillation) else Oscillation(*o) for o in items)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must list [amp_deg, period_s(, phase_rad)] entries, got {items!r}") from None
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -75,12 +92,13 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "heading_osc", _osc_list(self.heading_osc))
-        object.__setattr__(self, "roll_osc", _osc_list(self.roll_osc))
-        object.__setattr__(self, "pitch_osc", _osc_list(self.pitch_osc))
+        object.__setattr__(self, "name", str(self.name))
+        for name in ("heading_osc", "roll_osc", "pitch_osc"):
+            object.__setattr__(self, name, _osc_list(name, getattr(self, name)))
         for name in ("duration", "lat", "lon", "psi0", "imu_rate", "aid_rate"):
-            if not np.isfinite(getattr(self, name)):
-                raise InvalidArgumentError(f"{name} must be finite, got {getattr(self, name)}")
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
+        if not isinstance(self.seed, int):
+            object.__setattr__(self, "seed", int(_number("seed", self.seed)))
         if self.duration <= 0:
             raise InvalidArgumentError("duration must be positive")
         if self.imu_rate <= 0 or self.aid_rate <= 0:
@@ -90,42 +108,22 @@ class ScenarioConfig:
             raise InvalidArgumentError(
                 f"imu_rate ({self.imu_rate}) must be an integer multiple of aid_rate ({self.aid_rate})"
             )
-        if abs(self.lat) > np.pi / 2:
-            raise InvalidArgumentError("latitude out of [-pi/2, pi/2]")
+        _latitude(self.lat)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "duration": self.duration,
-            "lat": self.lat,
-            "lon": self.lon,
-            "psi0": self.psi0,
-            "heading_osc": [[o.amp_deg, o.period_s, o.phase_rad] for o in self.heading_osc],
-            "roll_osc": [[o.amp_deg, o.period_s, o.phase_rad] for o in self.roll_osc],
-            "pitch_osc": [[o.amp_deg, o.period_s, o.phase_rad] for o in self.pitch_osc],
-            "imu_rate": self.imu_rate,
-            "aid_rate": self.aid_rate,
-            "seed": self.seed,
-        }
+        d = asdict(self)
+        for name in ("heading_osc", "roll_osc", "pitch_osc"):
+            d[name] = [[o.amp_deg, o.period_s, o.phase_rad] for o in getattr(self, name)]
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        try:
-            return cls(
-                name=str(d["name"]),
-                duration=float(d["duration"]),
-                lat=float(d["lat"]),
-                lon=float(d["lon"]),
-                psi0=float(d["psi0"]),
-                heading_osc=tuple(tuple(o) for o in d.get("heading_osc", ())),
-                roll_osc=tuple(tuple(o) for o in d.get("roll_osc", ())),
-                pitch_osc=tuple(tuple(o) for o in d.get("pitch_osc", ())),
-                imu_rate=float(d.get("imu_rate", 100.0)),
-                aid_rate=float(d.get("aid_rate", 5.0)),
-                seed=int(d.get("seed", 0)),
-            )
-        except KeyError as exc:
-            raise InvalidArgumentError(f"scenario config missing field {exc.args[0]!r}") from exc
+        if not isinstance(d, dict):
+            raise InvalidArgumentError(f"scenario config must be an object, got {d!r}")
+        for name in ("name", "duration", "lat", "lon", "psi0"):
+            if name not in d:
+                raise InvalidArgumentError(f"scenario config missing field {name!r}")
+        return cls(**{k: v for k, v in d.items() if k in cls.__dataclass_fields__})
 
 
 @dataclass(frozen=True)
@@ -145,22 +143,20 @@ class SensorSpec:
 
     def __post_init__(self):
         for name, v in self.to_dict().items():
+            object.__setattr__(self, name, v := _number(name, v))
             if v < 0:
                 raise InvalidArgumentError(f"{name} must be non-negative, got {v}")
 
     def to_dict(self) -> dict:
-        return {
-            "gyro_bias_instability": self.gyro_bias_instability,
-            "gyro_arw": self.gyro_arw,
-            "accel_bias": self.accel_bias,
-            "accel_vrw": self.accel_vrw,
-            "gnss_heading_sigma": self.gnss_heading_sigma,
-            "gnss_pos_sigma": self.gnss_pos_sigma,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SensorSpec":
-        return cls(**{k: float(v) for k, v in d.items()})
+        if not isinstance(d, dict):
+            raise InvalidArgumentError(f"sensor spec must be an object, got {d!r}")
+        if unknown := sorted(set(d) - set(cls.__dataclass_fields__)):
+            raise InvalidArgumentError(f"unknown sensor field(s) {unknown}; expected {list(cls.__dataclass_fields__)}")
+        return cls(**d)
 
 
 #: MEMS-grade unit under test: 0.02 °/s bias, 0.032 °/√hr ARW,

@@ -4,8 +4,10 @@ observation-vector construction.
 The alignment decomposition tracks two time-varying frames from the
 start of the window: ``C^{b0}_b(t)`` integrated from gyro rates at the
 IMU rate, and ``C^{n0}_n(t)`` integrated from the Earth-rate model at
-the aiding rate.  Gravity-derived observation vector pairs are then
-formed either by temporal integration or instantaneously.
+the aiding rate.  Each track is the prefix product of its per-step
+rotations, built by a vectorised doubling scan.  Gravity-derived
+observation vector pairs are then formed either by temporal integration
+or instantaneously.
 """
 
 from __future__ import annotations
@@ -36,9 +38,6 @@ EARTH_RATE = 7.292115e-5
 
 #: Maximum allowed skew when pairing aiding samples to body samples.
 MAX_PAIRING_SKEW = 0.010
-
-#: Frame-track chaining re-orthonormalizes every this many steps.
-RENORM_INTERVAL = 1000
 
 
 def window_mask(t: NDArray[np.float64], t_start: float, t_end: float) -> NDArray[np.bool_]:
@@ -170,17 +169,13 @@ def gravity_nav(lat: ArrayLike) -> NDArray[np.float64]:
 
 
 def _chain(step_dcms: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Chain per-step rotations into a frame track starting at identity."""
-    n = step_dcms.shape[0] + 1
-    out = np.empty((n, 3, 3))
-    out[0] = np.eye(3)
-    C = np.eye(3)
-    for k in range(1, n):
-        C = C @ step_dcms[k - 1]
-        if k % RENORM_INTERVAL == 0:
-            # first-order symmetric orthonormalization
-            C = C @ (1.5 * np.eye(3) - 0.5 * (C.T @ C))
-        out[k] = C
+    """Chain per-step rotations into the frame track ``out[k] = R_0 @ ... @ R_{k-1}``
+    (identity first) by a Hillis-Steele doubling scan: ceil(log2 n) batched matmuls."""
+    out = np.concatenate([np.eye(3)[None], step_dcms])
+    k = 1
+    while k < out.shape[0]:
+        out[k:] = out[:-k] @ out[k:]
+        k *= 2
     return out
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -221,8 +223,10 @@ class TestObaSolve:
     )
     def test_non_finite_pair_raises(self, u_n0, u_b0):
         acc = WahbaAccumulator()
-        with pytest.raises(InvalidArgumentError):
-            oba_accumulate(acc, u_n0, u_b0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may escape first
+            with pytest.raises(InvalidArgumentError):
+                oba_accumulate(acc, u_n0, u_b0)
         assert acc.count == 0 and acc.skipped == 0
 
     @pytest.mark.parametrize(

@@ -138,6 +138,84 @@ def test_simulate_config_rejects_non_finite_field(scenario_file, tmp_path, capsy
     assert err["message"].startswith(f"{field} must be finite")
 
 
+def _json_file(tmp_path, name: str, doc) -> str:
+    """Write ``doc`` (an object, or raw text) to ``tmp_path / name``."""
+    path = tmp_path / name
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
+def _simulate_fails(tmp_path, capsys, config: str, sensors: str = "none") -> str:
+    """Run ``simulate``; assert it exits 1 with invalid-argument and writes nothing."""
+    rc = main(["simulate", "--config", config, "--sensors", sensors,
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-argument"
+    assert not (tmp_path / "out").exists()
+    return err["message"]
+
+
+@pytest.mark.parametrize("field", ["heading_osc", "roll_osc", "pitch_osc"])
+@pytest.mark.parametrize("entry", [[float("nan"), 35.0, 0.0], [2.0, float("inf"), 0.0], [2.0, 35.0, -float("inf")]])
+def test_simulate_config_rejects_non_finite_oscillation(scenario_file, tmp_path, capsys, field, entry):
+    doc = json.load(open(scenario_file))
+    doc[field] = [[1.0, 9.0, 0.0], entry]
+    msg = _simulate_fails(tmp_path, capsys, _json_file(tmp_path, "bad.json", doc))
+    assert msg.startswith(f"{field}: ") and "must be finite" in msg
+
+
+@pytest.mark.parametrize("entry", [[2.0], [2.0, 35.0, 0.3, 1.0], [], 5.0])
+def test_simulate_config_rejects_misshapen_oscillation(scenario_file, tmp_path, capsys, entry):
+    doc = json.load(open(scenario_file))
+    doc["heading_osc"] = [entry]
+    msg = _simulate_fails(tmp_path, capsys, _json_file(tmp_path, "bad.json", doc))
+    assert msg.startswith("heading_osc must list [amp_deg, period_s")
+
+
+@pytest.mark.parametrize("field, value", [("duration", "forty"), ("lat", None), ("seed", "x"),
+                                          ("heading_osc", [["big", 35.0, 0.0]])])
+def test_simulate_config_rejects_non_numeric_value(scenario_file, tmp_path, capsys, field, value):
+    doc = json.load(open(scenario_file))
+    doc[field] = value
+    msg = _simulate_fails(tmp_path, capsys, _json_file(tmp_path, "bad.json", doc))
+    assert "must be a number" in msg
+
+
+@pytest.mark.parametrize("name", ["config", "sensors"])
+def test_simulate_rejects_malformed_json(scenario_file, tmp_path, capsys, name):
+    paths = {"config": scenario_file, "sensors": "none"}
+    paths[name] = _json_file(tmp_path, "bad.json", '{"name": "dock", "duration": 40.0,')
+    assert _simulate_fails(tmp_path, capsys, **paths).startswith("malformed JSON in ")
+
+
+@pytest.mark.parametrize("doc", ["5", '{"scenarios": 5}', '["dock"]'])
+def test_simulate_config_rejects_non_scenario_json(tmp_path, capsys, doc):
+    msg = _simulate_fails(tmp_path, capsys, _json_file(tmp_path, "bad.json", doc))
+    assert "scenario" in msg
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "lots", -1.0])
+def test_simulate_sensors_rejects_bad_value(scenario_file, tmp_path, capsys, value):
+    sensors = _json_file(tmp_path, "sensors.json", {"gyro_arw": 0.03, "accel_vrw": value})
+    msg = _simulate_fails(tmp_path, capsys, scenario_file, sensors)
+    assert msg.startswith("accel_vrw must be ")
+
+
+def test_simulate_sensors_rejects_unknown_field(scenario_file, tmp_path, capsys):
+    sensors = _json_file(tmp_path, "sensors.json", {"gyro_arw": 0.03, "gyro_drift": 0.1})
+    msg = _simulate_fails(tmp_path, capsys, scenario_file, sensors)
+    assert msg.startswith("unknown sensor field(s) ['gyro_drift']")
+
+
+def test_simulate_accepts_a_sensor_file(scenario_file, tmp_path, capsys):
+    sensors = _json_file(tmp_path, "sensors.json", {"gyro_arw": 0.03, "accel_vrw": 0.01})
+    assert main(["simulate", "--config", scenario_file, "--sensors", sensors,
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    meta = json.load(open(tmp_path / "out" / "dock" / "meta.json"))
+    assert meta["sensors"]["gyro_arw"] == 0.03 and meta["sensors"]["gyro_bias_instability"] == 0.0
+
+
 def test_unseeded_training_is_refused(data_dir, tmp_path, capsys):
     rc = main(["train", "--variation", "10", "--data", data_dir,
                "--out-dir", str(tmp_path)])

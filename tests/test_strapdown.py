@@ -9,7 +9,7 @@ from headalign.errors import (
     InsufficientDataError,
     InvalidArgumentError,
 )
-from headalign.simulate import simulate_truth
+from headalign.simulate import DEFAULT_SENSORS, scenario_bank, simulate_recording, simulate_truth
 from headalign.strapdown import (
     EARTH_RATE,
     AidData,
@@ -123,6 +123,38 @@ def test_integrate_body_frame_coning_correction_beats_plain_chaining():
     err_plain = np.linalg.norm(dcm_to_rotvec(ref.T @ C))
     assert err_corr < 1e-5
     assert err_plain / err_corr > 1.5
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000, 1001, 12000])
+def test_integrate_body_frame_matches_sequential_chaining(n):
+    # oracle: the same per-step rotations multiplied one step at a time
+    rng = np.random.default_rng(n)
+    t = np.arange(n) / 100.0
+    omega = rng.normal(0.0, 0.05, (n, 3)) + [0.01, -0.02, 0.1]
+    dtheta = 0.5 * (omega[:-1] + omega[1:]) * np.diff(t)[:, None]
+    dphi = dtheta.copy()
+    dphi[1:] += np.cross(dtheta[:-1], dtheta[1:]) / 12.0
+    track = integrate_body_frame(t, omega)
+    assert track.shape == (n, 3, 3)
+    np.testing.assert_array_equal(track[0], np.eye(3))
+    C = np.eye(3)
+    worst = 0.0
+    for k in range(n - 1):
+        C = C @ rotvec_to_dcm(dphi[k])
+        worst = max(worst, float(np.max(np.abs(track[k + 1] - C))))
+    assert worst < 1e-12  # measured 1.9e-14 at 12,000 samples
+
+
+def test_frame_tracks_stay_orthonormal_without_renormalisation():
+    # 420 s of noisy gyro data at 100 Hz: the scan never re-orthonormalises,
+    # so rounding in the products must stay far below the 1e-12 budget
+    cfg = scenario_bank(42)[0]
+    rec = simulate_recording(cfg, DEFAULT_SENSORS)
+    assert len(rec.imu) == 42000
+    for track in (integrate_body_frame(rec.imu.t, rec.imu.omega),
+                  integrate_nav_frame(rec.aid.t, rec.aid.lat)):
+        ctc = np.einsum("kji,kjl->kil", track, track)
+        assert np.max(np.abs(ctc - np.eye(3))) < 1e-12  # measured 2.1e-13 body, 3.1e-13 nav
 
 
 def test_integrate_body_frame_needs_two_samples():
