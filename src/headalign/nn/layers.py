@@ -40,22 +40,38 @@ class Layer:
     def forward(self, x: Array, training: bool = False, rng=None) -> Array:
         raise NotImplementedError
 
-    def backward(self, dy: Array) -> Array:
+    def backward(self, dy: Array) -> Array | None:
+        """Store the parameter gradients and return dL/dx.  Only a
+        ``Conv2d`` built with ``input_grad=False`` returns ``None``."""
         raise NotImplementedError
+
+
+#: Most bytes one im2col window copy may take.  Forward and dW walk the
+#: batch in chunks whose copies stay below it; a chunk holds at least
+#: one sample.
+IM2COL_BYTES = 64 * 2**20
 
 
 class Conv2d(Layer):
     """Valid cross-correlation, stride 1: out (N, O, H-kh+1, W-kw+1).
 
     Weight layout (out_ch, in_ch, kh, kw); one bias per output channel.
+    Forward and dW contract im2col windows, batch-chunked under
+    ``IM2COL_BYTES``.  dx is the transposed convolution, summed one
+    kernel tap at a time; with ``input_grad=False`` (a layer fed by the
+    network input) backward skips it and returns ``None``.
     """
 
-    def __init__(self, in_ch: int, out_ch: int, kernel: tuple[int, int], name: str = "conv"):
+    def __init__(
+        self, in_ch: int, out_ch: int, kernel: tuple[int, int], name: str = "conv",
+        input_grad: bool = True,
+    ):
         kh, kw = kernel
         if kh < 1 or kw < 1:
             raise InvalidArgumentError(f"{name}: kernel must be positive, got {kernel}")
         self.in_ch, self.out_ch, self.kh, self.kw = in_ch, out_ch, kh, kw
         self.name = name
+        self.input_grad = input_grad
         self.W = np.zeros((out_ch, in_ch, kh, kw))
         self.b = np.zeros(out_ch)
         self.dW = np.zeros_like(self.W)
@@ -65,6 +81,15 @@ class Conv2d(Layer):
     def params(self):
         return [(f"{self.name}.W", self.W, self.dW), (f"{self.name}.b", self.b, self.db)]
 
+    def _windows(self, x: Array):
+        """Yield (batch slice, (n, C, Ho, Wo, kh, kw) window view) chunks."""
+        n, c, h, w = x.shape
+        per_sample = c * (h - self.kh + 1) * (w - self.kw + 1) * self.kh * self.kw * x.itemsize
+        step = max(1, IM2COL_BYTES // per_sample)
+        for lo in range(0, n, step):
+            sl = slice(lo, lo + step)
+            yield sl, sliding_window_view(x[sl], (self.kh, self.kw), axis=(2, 3))
+
     def forward(self, x: Array, training: bool = False, rng=None) -> Array:
         if x.ndim != 4 or x.shape[1] != self.in_ch:
             raise ShapeError(f"{self.name}: expected (N, {self.in_ch}, H, W), got {x.shape}")
@@ -73,23 +98,30 @@ class Conv2d(Layer):
                 f"{self.name}: kernel ({self.kh}x{self.kw}) larger than input {x.shape[2:]}"
             )
         self._x = x
-        win = sliding_window_view(x, (self.kh, self.kw), axis=(2, 3))
-        # win: (N, C, Ho, Wo, kh, kw); contract C, kh, kw against W
-        y = np.tensordot(win, self.W, axes=([1, 4, 5], [1, 2, 3]))
-        return np.ascontiguousarray(y.transpose(0, 3, 1, 2)) + self.b[None, :, None, None]
+        n, _, h, w = x.shape
+        y = np.empty((n, self.out_ch, h - self.kh + 1, w - self.kw + 1))
+        for sl, win in self._windows(x):
+            # win: (n, C, Ho, Wo, kh, kw); contract C, kh, kw against W
+            y[sl] = np.tensordot(win, self.W, axes=([1, 4, 5], [1, 2, 3])).transpose(0, 3, 1, 2)
+        y += self.b[None, :, None, None]
+        return y
 
-    def backward(self, dy: Array) -> Array:
+    def backward(self, dy: Array) -> Array | None:
         x = self._x
-        win = sliding_window_view(x, (self.kh, self.kw), axis=(2, 3))
         self.db[...] = dy.sum(axis=(0, 2, 3))
         # dW[o,c,a,b] = sum_{n,i,j} dy[n,o,i,j] win[n,c,i,j,a,b]
-        self.dW[...] = np.tensordot(dy, win, axes=([0, 2, 3], [0, 2, 3]))
-        # dx: full correlation of dy with the spatially flipped kernel
-        pad = ((0, 0), (0, 0), (self.kh - 1, self.kh - 1), (self.kw - 1, self.kw - 1))
-        dyp = np.pad(dy, pad)
-        dwin = sliding_window_view(dyp, (self.kh, self.kw), axis=(2, 3))
-        Wf = self.W[:, :, ::-1, ::-1]
-        dx = np.tensordot(dwin, Wf, axes=([1, 4, 5], [0, 2, 3]))
+        self.dW[...] = sum(
+            np.tensordot(dy[sl], win, axes=([0, 2, 3], [0, 2, 3])) for sl, win in self._windows(x)
+        )
+        if not self.input_grad:
+            return None
+        # dx[n,c,i+a,j+b] += sum_o dy[n,o,i,j] W[o,c,a,b], one tap (a, b) at a time
+        n, o, ho, wo = dy.shape
+        dy_t = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(-1, o)
+        dx = np.zeros((n, x.shape[2], x.shape[3], self.in_ch))
+        for a in range(self.kh):
+            for b in range(self.kw):
+                dx[:, a : a + ho, b : b + wo, :] += (dy_t @ self.W[:, :, a, b]).reshape(n, ho, wo, -1)
         return np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
 
 

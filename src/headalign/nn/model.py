@@ -136,7 +136,8 @@ class HeadingNetConfig:
 def _branch_layers(cfg: HeadingNetConfig, tag: str) -> list[Layer]:
     a = cfg.leaky_alpha
     layers: list[Layer] = [
-        Conv2d(1, 16, cfg.k1, name=f"{tag}.conv1"),
+        # the network input needs no gradient
+        Conv2d(1, 16, cfg.k1, name=f"{tag}.conv1", input_grad=False),
         MaxPool1x2(name=f"{tag}.pool1"),
         LeakyReLU(a, name=f"{tag}.act1"),
         Conv2d(16, 32, cfg.k2, name=f"{tag}.conv2"),
@@ -309,10 +310,19 @@ def predict_heading(model: HeadingModel, x1: Array, x2: Array) -> float:
 # -- checkpoint ----------------------------------------------------------
 
 
+def _first_non_finite(model: HeadingModel) -> str | None:
+    """Name of the first parameter or normalization array holding NaN or inf."""
+    arrays = [(name, p) for name, p, _ in model.params()] + list(model.norm.items())
+    return next((name for name, a in arrays if not np.isfinite(a).all()), None)
+
+
 def save_checkpoint(model: HeadingModel, path: str) -> None:
     """Single-file checkpoint: magic, JSON header (config, normalization,
     parameter manifest, sha256 of the data section), then raw
-    little-endian float64 parameter blocks."""
+    little-endian float64 parameter blocks.  A model holding NaN or inf
+    is refused."""
+    if (bad := _first_non_finite(model)) is not None:
+        raise InvalidArgumentError(f"refusing to save a checkpoint: {bad} is not finite")
     blobs = []
     manifest = []
     offset = 0
@@ -338,7 +348,8 @@ def save_checkpoint(model: HeadingModel, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> HeadingModel:
-    """Rebuild a model from a checkpoint; verifies the data checksum."""
+    """Rebuild a model from a checkpoint; verifies the data checksum and
+    that every parameter and normalization statistic is finite."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -364,4 +375,6 @@ def load_checkpoint(path: str) -> HeadingModel:
         if arr.shape != p.shape:
             raise ShapeError(f"{path}: {name} shape {arr.shape} != expected {p.shape}")
         p[...] = arr
+    if (bad := _first_non_finite(model)) is not None:
+        raise HeadAlignError(f"{path}: {bad} is not finite")
     return model.eval()

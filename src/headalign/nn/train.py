@@ -8,6 +8,7 @@ import numpy as np
 
 from ..errors import InsufficientDataError, InvalidArgumentError, TrainingDivergedError
 from ..rng import stream
+from ..simulate import _number
 from .data import WindowSet
 from .loss import cmse_loss
 from .model import HeadingModel
@@ -40,8 +41,20 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch < 1:
-            raise InvalidArgumentError("epochs must be >= 0 and batch >= 1")
+        if self.epochs < 0 or self.batch < 1 or self.scheduler_step < 1:
+            raise InvalidArgumentError("epochs must be >= 0, batch >= 1 and scheduler_step >= 1")
+        beta1, beta2 = self.betas
+        for name, v, ok, rule in (
+            ("lr", self.lr, lambda v: v > 0, "> 0"),
+            ("weight_decay", self.weight_decay, lambda v: v >= 0, ">= 0"),
+            ("loss_scale", self.loss_scale, lambda v: v > 0, "> 0"),
+            ("gamma", self.gamma, lambda v: 0 < v <= 1, "in (0, 1]"),
+            ("beta1", beta1, lambda v: 0 <= v < 1, "in [0, 1)"),
+            ("beta2", beta2, lambda v: 0 <= v < 1, "in [0, 1)"),
+            ("eps", self.eps, lambda v: v > 0, "> 0"),
+        ):
+            if not ok(v := _number(name, v)):
+                raise InvalidArgumentError(f"{name} must be {rule}, got {v}")
 
 
 def default_train_config(t_align: int, seed: int, **overrides) -> TrainConfig:

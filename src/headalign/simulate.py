@@ -120,10 +120,12 @@ class ScenarioConfig:
     def from_dict(cls, d: dict) -> "ScenarioConfig":
         if not isinstance(d, dict):
             raise InvalidArgumentError(f"scenario config must be an object, got {d!r}")
+        if unknown := sorted(set(d) - set(cls.__dataclass_fields__)):
+            raise InvalidArgumentError(f"unknown scenario field(s) {unknown}; expected {list(cls.__dataclass_fields__)}")
         for name in ("name", "duration", "lat", "lon", "psi0"):
             if name not in d:
                 raise InvalidArgumentError(f"scenario config missing field {name!r}")
-        return cls(**{k: v for k, v in d.items() if k in cls.__dataclass_fields__})
+        return cls(**d)
 
 
 @dataclass(frozen=True)

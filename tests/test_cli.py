@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import filecmp
+import hashlib
 import json
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -208,6 +210,13 @@ def test_simulate_sensors_rejects_unknown_field(scenario_file, tmp_path, capsys)
     assert msg.startswith("unknown sensor field(s) ['gyro_drift']")
 
 
+def test_simulate_config_rejects_unknown_field(scenario_file, tmp_path, capsys):
+    doc = json.load(open(scenario_file))
+    doc["heading_oscs"] = doc.pop("heading_osc")  # misspelled: must not be dropped
+    msg = _simulate_fails(tmp_path, capsys, _json_file(tmp_path, "bad.json", doc))
+    assert msg.startswith("unknown scenario field(s) ['heading_oscs']")
+
+
 def test_simulate_accepts_a_sensor_file(scenario_file, tmp_path, capsys):
     sensors = _json_file(tmp_path, "sensors.json", {"gyro_arw": 0.03, "accel_vrw": 0.01})
     assert main(["simulate", "--config", scenario_file, "--sensors", sensors,
@@ -223,6 +232,25 @@ def test_unseeded_training_is_refused(data_dir, tmp_path, capsys):
     doc = json.loads(capsys.readouterr().err)
     assert doc["error"] == "invalid-argument"
     assert doc["message"] == "training requires --seed (reproducibility by default)"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lr", "nan", "lr must be finite, got nan"),
+    ("--lr", "inf", "lr must be finite, got inf"),
+    ("--lr", "-1", "lr must be > 0, got -1.0"),
+    ("--lr", "0", "lr must be > 0, got 0.0"),
+    ("--loss-scale", "0", "loss_scale must be > 0, got 0.0"),
+    ("--loss-scale", "nan", "loss_scale must be finite, got nan"),
+    ("--weight-decay", "-0.1", "weight_decay must be >= 0, got -0.1"),
+    ("--weight-decay", "inf", "weight_decay must be finite, got inf"),
+])
+def test_train_rejects_bad_hyperparameter(data_dir, tmp_path, capsys, flag, value, message):
+    rc = main(["train", "--variation", "10", "--data", data_dir, "--epochs", "1",
+               "--batch", "64", "--seed", "5", flag, value, "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    doc = json.loads(capsys.readouterr().err)
+    assert doc == {"error": "invalid-argument", "message": message}
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +296,28 @@ def test_evaluate_neural_only_rejects_bad_window_length(data_dir, trained_dir, t
                "--out-dir", str(tmp_path)])
     assert rc == 1
     assert json.loads(capsys.readouterr().err)["error"] == "invalid-argument"
+
+
+def _with_nan_weight(src: str, dst: str) -> None:
+    """Copy checkpoint ``src`` to ``dst`` with its first weight set to NaN
+    and the checksum rewritten to match."""
+    raw = open(src, "rb").read()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + hlen])
+    data = struct.pack("<d", float("nan")) + raw[24 + hlen :]
+    header["checksum"] = hashlib.sha256(data).hexdigest()
+    hdr = json.dumps(header, sort_keys=True).encode()
+    open(dst, "wb").write(raw[:8] + struct.pack("<Q", len(hdr)) + hdr + data)
+
+
+def test_evaluate_rejects_non_finite_checkpoint(data_dir, trained_dir, tmp_path, capsys):
+    bad = str(tmp_path / "nan.ckpt")
+    _with_nan_weight(os.path.join(trained_dir, "headingnet10.ckpt"), bad)
+    rc = main(["evaluate", "--data", data_dir, "--methods", "HeadingNet10", "--t-aligns", "10",
+               "--checkpoint", bad, "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    doc = json.loads(capsys.readouterr().err)
+    assert doc == {"error": "headalign-error", "message": f"{bad}: b1.conv1.W is not finite"}
 
 
 @pytest.fixture(scope="module")

@@ -219,6 +219,16 @@ class TestCheckpoint:
         with pytest.raises(HeadAlignError, match="checksum"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("name", ["b1.conv1.W", "fc4.b", "std2"])
+    def test_save_refuses_non_finite_state(self, tmp_path, name):
+        model = self._model()
+        arrays = {n: p for n, p, _ in model.params()} | model.norm
+        arrays[name].flat[-1] = np.nan
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(InvalidArgumentError, match=f"refusing to save a checkpoint: {name} is not finite"):
+            save_checkpoint(model, str(path))
+        assert not path.exists()
+
     def test_wrong_magic_detected(self, tmp_path):
         path = str(tmp_path / "m.ckpt")
         open(path, "wb").write(b"NOTHDG0\n" + b"\x00" * 64)

@@ -226,6 +226,26 @@ class TestTrainLoop:
         with pytest.raises(InvalidArgumentError):
             default_train_config(45, seed=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("gamma", 0.0, "gamma must be in (0, 1], got 0.0"),
+        ("gamma", 1.5, "gamma must be in (0, 1], got 1.5"),
+        ("gamma", float("nan"), "gamma must be finite, got nan"),
+        ("betas", (1.0, 0.999), "beta1 must be in [0, 1), got 1.0"),
+        ("betas", (0.9, -0.1), "beta2 must be in [0, 1), got -0.1"),
+        ("betas", (0.9, float("inf")), "beta2 must be finite, got inf"),
+        ("eps", 0.0, "eps must be > 0, got 0.0"),
+        ("eps", "tiny", "eps must be a number, got 'tiny'"),
+        ("scheduler_step", 0, "epochs must be >= 0, batch >= 1 and scheduler_step >= 1"),
+    ])
+    def test_config_rejects_out_of_range_field(self, field, value, message):
+        with pytest.raises(InvalidArgumentError) as exc:
+            default_train_config(10, seed=0, **{field: value})
+        assert str(exc.value) == message
+
+    def test_config_accepts_range_edges(self):
+        cfg = default_train_config(10, seed=0, gamma=1.0, betas=(0.0, 0.0), weight_decay=0.0)
+        assert cfg.gamma == 1.0 and cfg.betas == (0.0, 0.0) and cfg.weight_decay == 0.0
+
     def test_default_config_table(self):
         cfg = default_train_config(90, seed=9)
         assert (cfg.epochs, cfg.loss_scale, cfg.lr) == (500, 100.0, 0.0005)
