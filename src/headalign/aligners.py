@@ -11,12 +11,19 @@ forms:
 Both estimators recover the constant frozen-frame attitude
 ``C^{n0}_{b0}``; the heading at the end of the window follows from the
 frame-track recomposition ``C^n_b = C^n_{n0} C^{n0}_{b0} C^{b0}_b``.
+
+:class:`AlignWindow` is the one window engine behind every method: it
+cuts the half-open window once, integrates its body and nav frame tracks
+once, and builds each observation form once.  All four methods share
+what they have in common, so scoring them on one window costs one track
+pair and two observation series, not four of each.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -39,6 +46,7 @@ from .strapdown import (
 
 __all__ = [
     "AlignMethod",
+    "AlignWindow",
     "HeadingEstimate",
     "WahbaAccumulator",
     "dva_solve",
@@ -297,6 +305,68 @@ def _dva_indices(obs: ObservationSeries, fractions: tuple[float, float]) -> tupl
     return i1, i2
 
 
+class AlignWindow:
+    """The first ``t_align`` seconds of a recording, cut once and shared
+    by every classical method.
+
+    ``rec`` is any object with ``imu`` (:class:`~headalign.strapdown.ImuData`)
+    and ``aid`` (:class:`~headalign.strapdown.AidData`) attributes.  The
+    window is half-open, ``[t0, t0 + t_align)``.  The frame tracks are
+    integrated on first use and the observation series are built once per
+    form; the cached arrays are read-only, because every method reads the
+    same ones.
+
+    Raises
+    ------
+    InvalidArgumentError
+        If ``t_align`` is not finite or shorter than 2 s.
+    InsufficientDataError
+        If either stream has fewer than 2 samples in the window or the
+        aiding data stops short of its end.
+    """
+
+    def __init__(self, rec, t_align: float):
+        if not np.isfinite(t_align) or t_align < 2.0:
+            raise InvalidArgumentError(f"alignment window must be finite and >= 2 s, got {t_align}")
+        self.t_align = float(t_align)
+        t0 = float(rec.imu.t[0])
+        t_end = t0 + self.t_align
+        # half-open window: a sample on the grid at exactly t_end stays out
+        self.imu = rec.imu.slice_window(t0, t_end - 1e-6)
+        self.aid = rec.aid.slice_window(t0, t_end - 1e-6)
+        if len(self.imu) < 2 or len(self.aid) < 2:
+            raise InsufficientDataError("recording too short for the requested window")
+        aid_dt = float(np.median(np.diff(self.aid.t)))
+        if self.aid.t[-1] < t_end - 1.5 * aid_dt - 1e-9:
+            raise InsufficientDataError(
+                f"aiding data ends at {self.aid.t[-1]:.2f}s, window needs {t_end - aid_dt:.2f}s"
+            )
+        self._observations: dict[bool, ObservationSeries] = {}
+
+    @cached_property
+    def tracks(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """``(C^{b0}_b, C^{n0}_n)`` over the window, shapes ``(n_imu, 3, 3)``
+        and ``(n_aid, 3, 3)``."""
+        body_track = integrate_body_frame(self.imu.t, self.imu.omega)
+        nav_track = integrate_nav_frame(self.aid.t, self.aid.lat)
+        _freeze(body_track, nav_track)
+        return body_track, nav_track
+
+    def observations(self, integrated: bool) -> ObservationSeries:
+        """The integrated or the instantaneous observation series."""
+        if integrated not in self._observations:
+            build = observation_integrated if integrated else observation_instantaneous
+            obs = build(self.imu, self.aid, *self.tracks)
+            _freeze(obs.u_b0, obs.u_n0)
+            self._observations[integrated] = obs
+        return self._observations[integrated]
+
+
+def _freeze(*arrays: NDArray[np.float64]) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
 def align_heading(
     rec,
     method: AlignMethod,
@@ -306,36 +376,28 @@ def align_heading(
     """Run one classical alignment over the first ``t_align`` seconds of
     a recording and return the heading estimate at the window end.
 
-    ``rec`` is any object with ``imu`` (:class:`~headalign.strapdown.ImuData`)
-    and ``aid`` (:class:`~headalign.strapdown.AidData`) attributes.  The
-    window is half-open, ``[t0, t0 + t_align)``; the estimate and its
-    ground truth are taken at the last aiding sample inside it.
+    ``rec`` is a recording (any object with ``imu`` and ``aid``
+    attributes; see :class:`AlignWindow` for the window rules) or an
+    :class:`AlignWindow` already cut at ``t_align``.  A window reuses the
+    frame tracks and observations that earlier calls on it built, so
+    running all four methods on one window integrates it once.  The
+    estimate and its ground truth are taken at the last aiding sample
+    inside the window.
+
+    Raises
+    ------
+    InvalidArgumentError
+        If ``rec`` is an :class:`AlignWindow` cut at another ``t_align``.
     """
     if not isinstance(method, AlignMethod):
         method = AlignMethod(method)
-    if not np.isfinite(t_align) or t_align < 2.0:
-        raise InvalidArgumentError(f"alignment window must be finite and >= 2 s, got {t_align}")
-
-    t0 = float(rec.imu.t[0])
-    t_end = t0 + float(t_align)
-    # half-open window: a sample on the grid at exactly t_end stays out
-    imu = rec.imu.slice_window(t0, t_end - 1e-6)
-    aid = rec.aid.slice_window(t0, t_end - 1e-6)
-    if len(imu) < 2 or len(aid) < 2:
-        raise InsufficientDataError("recording too short for the requested window")
-    aid_dt = float(np.median(np.diff(aid.t)))
-    if aid.t[-1] < t_end - 1.5 * aid_dt - 1e-9:
-        raise InsufficientDataError(
-            f"aiding data ends at {aid.t[-1]:.2f}s, window needs {t_end - aid_dt:.2f}s"
+    win = rec if isinstance(rec, AlignWindow) else AlignWindow(rec, t_align)
+    if win.t_align != t_align:
+        raise InvalidArgumentError(
+            f"window was cut at t_align={win.t_align:g} s, not {t_align} s"
         )
 
-    body_track = integrate_body_frame(imu.t, imu.omega)
-    nav_track = integrate_nav_frame(aid.t, aid.lat)
-    if method.integrated:
-        obs = observation_integrated(imu, aid, body_track, nav_track)
-    else:
-        obs = observation_instantaneous(imu, aid, body_track, nav_track)
-
+    obs = win.observations(method.integrated)
     if method.dual_vector:
         i1, i2 = _dva_indices(obs, dva_fractions)
         C_n0_b0 = dva_solve(obs.u_n0[i1], obs.u_n0[i2], obs.u_b0[i1], obs.u_b0[i2])
@@ -343,6 +405,8 @@ def align_heading(
         _, C_n0_b0 = oba_solve(oba_accumulate(WahbaAccumulator(), obs.u_n0, obs.u_b0))
 
     # C^n_b(t_e) = C^n_{n0}(t_e) C^{n0}_{b0} C^{b0}_b(t_e) at the last aiding time
+    imu, aid = win.imu, win.aid
+    body_track, nav_track = win.tracks
     k_body = int(np.searchsorted(imu.t, aid.t[-1] + 1e-9, side="right") - 1)
     C_n_b = nav_track[-1].T @ C_n0_b0 @ body_track[k_body]
     psi_hat = dcm_to_heading(C_n_b)

@@ -38,7 +38,8 @@ class AmbiguousAttitudeError(HeadAlignError, ValueError):
 
 
 class DegenerateAttitudeError(HeadAlignError, ValueError):
-    """Attitude too close to a gimbal singularity for heading extraction."""
+    """No finite heading: the attitude is too close to a gimbal
+    singularity, or an estimate's absolute error is not finite."""
 
     code = "degenerate-attitude"
 

@@ -3,19 +3,22 @@ data model.
 
 Classical methods and neural variants are scored on identical
 non-overlapping window boundaries per recording; absolute heading errors
-are averaged per recording, then across recordings.
+are averaged per recording, then across recordings.  Each classical
+window is cut once per (recording, alignment time) and shared by every
+classical method, so its frame tracks are integrated once.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aligners import AlignMethod, align_heading
+from .aligners import AlignMethod, AlignWindow, align_heading
 from .attitude import angle_diff
-from .errors import InsufficientDataError, InvalidArgumentError
+from .errors import DegenerateAttitudeError, InsufficientDataError, InvalidArgumentError
 from .nn.data import make_windows, window_starts
 from .nn.model import HeadingModel, predict_heading
 from .recording import Recording, sample_rates
@@ -25,6 +28,17 @@ __all__ = ["EvalRow", "EvalReport", "evaluate", "nn_method_name"]
 REPORT_VERSION = "1"
 
 CLASSICAL_METHODS = tuple(m.value for m in AlignMethod)
+
+_NUMBER = (int, float)
+
+#: Field types of each list in a serialised report.
+_REPORT_FIELDS = {
+    "rows": {"method": str, "t_align": _NUMBER, "recording": str,
+             "mean_ae_deg": _NUMBER, "windows": int},
+    "averages": {"method": str, "t_align": _NUMBER, "mean_ae_deg": _NUMBER},
+    "improvements": {"t_align": _NUMBER, "best_baseline_name": str, "best_ae": _NUMBER,
+                     "nn_ae": _NUMBER, "improvement_pct": _NUMBER},
+}
 
 
 def nn_method_name(t_align: int | float) -> str:
@@ -62,10 +76,33 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
+        """Rebuild a report from :meth:`to_dict` output.
+
+        Raises :class:`InvalidArgumentError` on another version, on a
+        missing or extra key, or on a value of the wrong type or a
+        non-finite number.
+        """
+        if not isinstance(d, dict):
+            raise InvalidArgumentError("report must be a JSON object")
         if d.get("version") != REPORT_VERSION:
-            raise InvalidArgumentError(
-                f"unsupported report version {d.get('version')!r}"
-            )
+            raise InvalidArgumentError(f"unsupported report version {d.get('version')!r}")
+        for name, fields in _REPORT_FIELDS.items():
+            entries = d.get(name)
+            if not isinstance(entries, list):
+                raise InvalidArgumentError(f"report {name!r} must be a list")
+            for k, entry in enumerate(entries):
+                if not isinstance(entry, dict) or entry.keys() != fields.keys():
+                    raise InvalidArgumentError(
+                        f"report {name}[{k}] must have exactly the keys {sorted(fields)}"
+                    )
+                for key, kind in fields.items():
+                    value = entry[key]
+                    if isinstance(value, bool) or not isinstance(value, kind):
+                        raise InvalidArgumentError(
+                            f"report {name}[{k}].{key} has the wrong type: {value!r}"
+                        )
+                    if isinstance(value, float) and not math.isfinite(value):
+                        raise InvalidArgumentError(f"report {name}[{k}].{key} is {value!r}")
         rep = cls()
         rep.rows = [EvalRow(**r) for r in d["rows"]]
         rep.averages = list(d["averages"])
@@ -100,17 +137,57 @@ def _rec_name(rec: Recording, i: int) -> str:
     return str(rec.meta.get("scenario", {}).get("name", f"rec{i}"))
 
 
-def _classical_window_aes(rec: Recording, method: AlignMethod, t_align: float) -> list[float]:
-    """One alignment per non-overlapping window, on the exact window
-    boundaries the neural evaluation uses."""
+def _align_windows(rec: Recording, t_align: float) -> list[AlignWindow]:
+    """The non-overlapping windows of one recording, on the exact
+    boundaries the neural evaluation uses, each cut once."""
     t0 = float(rec.imu.t[0])
     imu_rate, _ = sample_rates(rec.meta)
     duration = len(rec.imu) / imu_rate
-    aes = []
-    for w in window_starts(duration, t_align, "eval"):
-        sub = rec.slice_window(t0 + float(w), t0 + float(w) + t_align)
-        aes.append(align_heading(sub, method, t_align).ae_deg)
-    return aes
+    return [
+        AlignWindow(rec.slice_window(t0 + float(w), t0 + float(w) + t_align), t_align)
+        for w in window_starts(duration, t_align, "eval")
+    ]
+
+
+def _classical_window_aes(
+    windows: list[AlignWindow], method: AlignMethod, t_align: float
+) -> list[float]:
+    """One alignment per window; windows keep what earlier methods built."""
+    return [align_heading(win, method, t_align).ae_deg for win in windows]
+
+
+def _neural_window_aes(model: HeadingModel, rec: Recording, t_align: float) -> list[float]:
+    ws = make_windows([rec], t_align, "eval")
+    return [
+        abs(np.degrees(angle_diff(predict_heading(model, ws.x1[k], ws.x2[k]), ws.y[k])))
+        for k in range(len(ws))
+    ]
+
+
+def _recording_aes(
+    rec: Recording, name: str, methods: list[str], T: float, models: dict[int, HeadingModel]
+) -> dict[str, list[float]]:
+    """Per-window absolute errors of every method scored at ``T`` on one
+    recording.  The classical windows live only for this call."""
+    windows = _align_windows(rec, float(T)) if set(methods) & set(CLASSICAL_METHODS) else []
+    out = {}
+    for method in methods:
+        if method in CLASSICAL_METHODS:
+            aes = _classical_window_aes(windows, AlignMethod(method), float(T))
+        elif method == nn_method_name(T):
+            aes = _neural_window_aes(models[int(T)], rec, float(T))
+        else:
+            continue
+        if not aes:
+            raise InsufficientDataError(f"recording {name} too short for t_align={T}")
+        for k, ae in enumerate(aes):
+            if not math.isfinite(ae):
+                raise DegenerateAttitudeError(
+                    f"{method} at t_align={T:g} s gave a non-finite absolute error "
+                    f"on recording {name}, window {k}"
+                )
+        out[method] = aes
+    return out
 
 
 def evaluate(
@@ -124,7 +201,10 @@ def evaluate(
     ``models`` maps alignment time to a trained model; a method name
     like ``HeadingNet30`` without a matching model raises.  Neural
     methods are skipped silently for alignment times other than their
-    own variation.
+    own variation.  A non-finite absolute error on any window raises
+    :class:`DegenerateAttitudeError` naming the method, alignment time,
+    recording and window.  Rows are ordered by alignment time, then
+    method, then recording.
     """
     if not methods:
         raise InvalidArgumentError("method list is empty")
@@ -147,29 +227,17 @@ def evaluate(
             )
 
     report = EvalReport()
+    names = [_rec_name(rec, ri) for ri, rec in enumerate(recordings)]
     for T in t_aligns:
+        per_rec = [_recording_aes(rec, name, methods, T, models)
+                   for rec, name in zip(recordings, names)]
         for method in methods:
-            is_nn = method not in CLASSICAL_METHODS
-            if is_nn and nn_method_name(T) != method:
-                continue
-            for ri, rec in enumerate(recordings):
-                name = _rec_name(rec, ri)
-                if is_nn:
-                    model = models[int(T)]
-                    ws = make_windows([rec], float(T), "eval")
-                    aes = []
-                    for k in range(len(ws)):
-                        psi = predict_heading(model, ws.x1[k], ws.x2[k])
-                        aes.append(abs(np.degrees(angle_diff(psi, ws.y[k]))))
-                else:
-                    aes = _classical_window_aes(rec, AlignMethod(method), float(T))
-                if not aes:
-                    raise InsufficientDataError(
-                        f"recording {name} too short for t_align={T}"
+            for name, by_method in zip(names, per_rec):
+                if method in by_method:
+                    aes = by_method[method]
+                    report.rows.append(
+                        EvalRow(method, float(T), name, float(np.mean(aes)), len(aes))
                     )
-                report.rows.append(
-                    EvalRow(method, float(T), name, float(np.mean(aes)), len(aes))
-                )
 
     for T in t_aligns:
         for method in methods:

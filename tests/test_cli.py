@@ -378,3 +378,41 @@ def test_global_flags_valid_in_both_positions(tmp_path, capsys):
         for fname in ("imu.csv", "aid.csv", "truth.csv", "meta.json"):
             assert filecmp.cmp(os.path.join(a, name, fname),
                                os.path.join(b, name, fname), shallow=False)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda doc: doc["averages"][0].pop("t_align"),
+     lambda doc: doc["averages"][0].update(mean_ae_deg="0.5")],
+    ids=["missing-key", "wrong-type"],
+)
+def test_report_rejects_malformed_report(eval_dir, tmp_path, capsys, edit):
+    doc = json.load(open(os.path.join(eval_dir, "eval_report.json")))
+    edit(doc)
+    bad = tmp_path / "eval_report.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["report", "--input", str(bad), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "invalid-argument"
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_evaluate_non_finite_error_writes_nothing(data_dir, tmp_path, capsys, monkeypatch):
+    import headalign.harness as harness
+
+    align = harness.align_heading
+
+    def nan_error(win, method, t_align):
+        est = align(win, method, t_align)
+        est.ae_deg = float("nan")
+        return est
+
+    monkeypatch.setattr(harness, "align_heading", nan_error)
+    out = tmp_path / "eval"
+    rc = main(["evaluate", "--data", data_dir, "--methods", "I-OBA", "--t-aligns", "10",
+               "--out-dir", str(out)])
+    assert rc == 1
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "degenerate-attitude"
+    assert "I-OBA at t_align=10 s" in doc["message"] and "recording dock, window 0" in doc["message"]
+    assert not os.path.exists(out)
