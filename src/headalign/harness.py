@@ -212,6 +212,10 @@ def evaluate(
         raise InvalidArgumentError("alignment-time list is empty")
     for T in t_aligns:
         window_starts(0.0, T, "eval")  # rejects a non-finite or non-positive T before any work
+    for kind, entries in (("method", methods), ("alignment time", t_aligns)):
+        for i, e in enumerate(entries):
+            if e in entries[:i]:
+                raise InvalidArgumentError(f"{kind} {e} is listed more than once")
     if not recordings:
         raise InsufficientDataError("no recordings to evaluate")
     models = models or {}

@@ -55,15 +55,16 @@ def _nav_rows(aid) -> Array:
 
 def window_starts(duration: float, t_align: float, mode: str) -> np.ndarray:
     """Whole-second window start offsets: stride 1 s for train, stride
-    ``t_align`` (non-overlapping) for eval.  ``t_align`` must be finite
-    and positive."""
+    ``ceil(t_align)`` for eval, so that eval windows never overlap.  Every
+    window ends within ``duration``.  ``t_align`` must be finite and
+    positive."""
     if not (np.isfinite(t_align) and t_align > 0):
         raise InvalidArgumentError(f"window length must be finite and > 0 s, got {t_align}")
     if mode == "train":
         last = int(np.floor(duration - t_align + 1e-9))
         return np.arange(0, last + 1)
-    step = int(round(t_align))
-    n = int(np.floor(duration / t_align + 1e-9))
+    step = int(np.ceil(t_align))
+    n = int(np.floor((duration - t_align) / step + 1e-9)) + 1
     return np.arange(0, n) * step
 
 

@@ -8,7 +8,16 @@ A recording is a directory of four files:
 - ``meta.json``: scenario config, sensor spec, seed, format version "1"
 
 Floats are written with 17 significant digits so the round trip is
-bit-exact for IEEE doubles.
+bit-exact for IEEE doubles.  The writer formats a whole table with one
+``%`` operation; its bytes are those of ``np.savetxt(fmt="%.17g")``.
+
+The reader parses the data lines with ``np.loadtxt`` and keeps the
+result only when it has one row of the right width per line.  Anything
+else (a ``loadtxt`` error, a skipped blank line) goes to a line-by-line
+``float()`` parser, which alone decides bad input: it names the first
+bad line by its file line number, and it accepts the few spellings
+``float()`` takes and ``loadtxt`` does not (``1_0``), so both paths
+accept the same files and read the same values.
 """
 
 from __future__ import annotations
@@ -96,7 +105,52 @@ class Recording:
 
 
 def _write_csv(path: str, header: str, table: NDArray[np.float64]) -> None:
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.write((row * table.shape[0]) % tuple(table.ravel().tolist()))
+
+
+def _split_lines(text: str) -> list[str]:
+    r"""Lines of ``text`` without their terminators, split as iterating a
+    file opened with ``newline=""`` splits them (``\n``, ``\r\n``,
+    ``\r``).  ``str.splitlines`` would also split on ``\v``, ``\f``
+    and ``\x1c``-``\x1e``."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def _parse_lines(name: str, lines: list[str], ncol: int) -> NDArray[np.float64]:
+    """Line-by-line parse that decides bad input: the first bad line
+    raises with its file line number (the header is line 1)."""
+    rows: list[list[float]] = []
+    for lineno, line in enumerate(lines, start=2):
+        fields = line.split(",")
+        if len(fields) != ncol:
+            raise RecordingFormatError(
+                f"{name} line {lineno}: expected {ncol} fields, got {len(fields)}"
+            )
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError as exc:
+            raise RecordingFormatError(f"{name} line {lineno}: {exc}") from exc
+    return np.array(rows, dtype=float)
+
+
+def _loadtxt(lines: list[str], ncol: int) -> NDArray[np.float64] | None:
+    """C-speed parse of the data lines, or ``None`` wherever it might
+    not agree with :func:`_parse_lines`: ``loadtxt`` skips blank lines
+    (and warns when every line is blank), and ``float()`` accepts some
+    fields (``1_0``) that it rejects."""
+    if not lines[0]:
+        return None
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape == (len(lines), ncol) else None
 
 
 def _read_csv(path: str, header: str) -> NDArray[np.float64]:
@@ -112,20 +166,12 @@ def _read_csv(path: str, header: str) -> NDArray[np.float64]:
             raise RecordingFormatError(
                 f"{name} line 1: expected header {header!r}, got {first.rstrip()!r}"
             )
-        rows: list[list[float]] = []
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.rstrip("\r\n").split(",")
-            if len(fields) != ncol:
-                raise RecordingFormatError(
-                    f"{name} line {lineno}: expected {ncol} fields, got {len(fields)}"
-                )
-            try:
-                rows.append([float(v) for v in fields])
-            except ValueError as exc:
-                raise RecordingFormatError(f"{name} line {lineno}: {exc}") from exc
-    if not rows:
+        lines = _split_lines(fh.read())
+    if not lines:
         raise RecordingFormatError(f"{name}: no data rows")
-    data = np.array(rows, dtype=float)
+    data = _loadtxt(lines, ncol)
+    if data is None:
+        data = _parse_lines(name, lines, ncol)
     bad = np.nonzero(np.diff(data[:, 0]) <= 0)[0]
     if bad.size:
         raise RecordingFormatError(

@@ -107,6 +107,19 @@ def test_evaluate_rejects_bad_window_length(data_dir, tmp_path, capsys, t_aligns
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("flag, message", [
+    pytest.param("--methods=I-OBA,A-DVA,I-OBA", "method I-OBA is listed more than once", id="method"),
+    pytest.param("--t-aligns=10,30,10", "alignment time 10.0 is listed more than once",
+                 id="alignment-time"),
+])
+def test_evaluate_rejects_repeated_entry(data_dir, tmp_path, capsys, flag, message):
+    rc = main(["evaluate", "--data", data_dir, flag, "--out-dir", str(tmp_path)])
+    assert rc == 1
+    doc = json.loads(capsys.readouterr().err)
+    assert doc == {"error": "invalid-argument", "message": message}
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("t_align", ["nan", "inf", "1"])
 def test_align_rejects_bad_window_length(data_dir, capsys, t_align):
     rc = main(["align", "--recording", os.path.join(data_dir, "dock"),

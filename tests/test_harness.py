@@ -149,6 +149,16 @@ def test_argument_validation(clean_recording):
         evaluate([clean_recording], ["bogus"], [30.0])
 
 
+@pytest.mark.parametrize("methods, t_aligns, message", [
+    pytest.param(["I-OBA", "I-OBA"], [30.0], "method I-OBA is listed more than once", id="method"),
+    pytest.param(["I-OBA"], [10.0, 10.0], "alignment time 10.0 is listed more than once",
+                 id="alignment-time"),
+])
+def test_repeated_method_or_alignment_time_is_rejected(clean_recording, methods, t_aligns, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        evaluate([clean_recording], methods, t_aligns)
+
+
 def test_recording_too_short_for_window(clean_recording):
     short = clean_recording.slice_window(0.0, 20.0)
     with pytest.raises(InsufficientDataError):

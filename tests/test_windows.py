@@ -19,6 +19,18 @@ def test_eval_starts_are_non_overlapping():
     np.testing.assert_array_equal(window_starts(29.0, 30.0, "eval"), [])
 
 
+@pytest.mark.parametrize("t_align, starts", [
+    pytest.param(10.5, np.arange(10) * 11, id="10.5s"),
+    pytest.param(2.4, np.arange(40) * 3, id="2.4s"),
+])
+def test_eval_starts_for_fractional_window_do_not_overlap(t_align, starts):
+    got = window_starts(120.0, t_align, "eval")
+    np.testing.assert_array_equal(got, starts)
+    np.testing.assert_array_equal(got, np.round(got))  # whole seconds
+    assert np.all(np.diff(got) >= t_align)  # no two windows overlap
+    assert got[-1] + t_align <= 120.0  # every window ends within the duration
+
+
 @pytest.mark.parametrize("t_align", [0.0, -10.0, np.nan, np.inf])
 @pytest.mark.parametrize("mode", ["train", "eval"])
 def test_bad_window_length_is_rejected(noisy_recording, t_align, mode):
