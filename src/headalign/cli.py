@@ -19,7 +19,7 @@ import numpy as np
 
 from .aligners import AlignMethod, align_heading
 from .errors import HeadAlignError, InvalidArgumentError
-from .harness import CLASSICAL_METHODS, EvalReport, evaluate, nn_method_name
+from .harness import CLASSICAL_METHODS, EvalReport, check_eval_args, evaluate, nn_method_name
 from .nn.data import make_windows
 from .nn.model import build_headingnet, load_checkpoint, save_checkpoint
 from .nn.train import default_train_config, train
@@ -169,8 +169,10 @@ def cmd_evaluate(args) -> int:
     methods = [m for m in args.methods.split(",") if m]
     if not methods:
         raise InvalidArgumentError("method list is empty")
-    t_aligns = [float(v) for v in args.t_aligns.split(",") if v]
-    recs = [rec for _, rec in _recordings_in(args.data, args.names.split(",") if args.names else None)]
+    try:
+        t_aligns = [float(v) for v in args.t_aligns.split(",") if v]
+    except ValueError as exc:
+        raise InvalidArgumentError(f"--t-aligns must be comma-separated numbers: {exc}") from exc
 
     models = {}
     for path in args.checkpoint or []:
@@ -180,7 +182,9 @@ def cmd_evaluate(args) -> int:
         name = nn_method_name(T)
         if name not in methods:
             methods.append(name)
+    check_eval_args(methods, t_aligns, models)  # before any recording is read
 
+    recs = [rec for _, rec in _recordings_in(args.data, args.names.split(",") if args.names else None)]
     report = evaluate(recs, methods, t_aligns, models)
     os.makedirs(args.out_dir, exist_ok=True)
     json_path = os.path.join(args.out_dir, "eval_report.json")

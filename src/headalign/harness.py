@@ -23,7 +23,7 @@ from .nn.data import make_windows, window_starts
 from .nn.model import HeadingModel, predict_heading
 from .recording import Recording, sample_rates
 
-__all__ = ["EvalRow", "EvalReport", "evaluate", "nn_method_name"]
+__all__ = ["EvalRow", "EvalReport", "check_eval_args", "evaluate", "nn_method_name"]
 
 REPORT_VERSION = "1"
 
@@ -190,6 +190,30 @@ def _recording_aes(
     return out
 
 
+def check_eval_args(methods: list[str], t_aligns: list[float], models: dict[int, HeadingModel]) -> None:
+    """Reject, before any recording is touched, an empty method or
+    alignment-time list, a non-finite or non-positive alignment time, a
+    repeated entry, and a method that is neither classical nor one of
+    ``models``' neural variants."""
+    if not methods:
+        raise InvalidArgumentError("method list is empty")
+    if not t_aligns:
+        raise InvalidArgumentError("alignment-time list is empty")
+    for T in t_aligns:
+        window_starts(0.0, T, "eval")  # rejects a non-finite or non-positive T
+    for kind, entries in (("method", methods), ("alignment time", t_aligns)):
+        for i, e in enumerate(entries):
+            if e in entries[:i]:
+                raise InvalidArgumentError(f"{kind} {e} is listed more than once")
+    neural = {nn_method_name(T) for T in models}
+    for m in methods:
+        if m not in CLASSICAL_METHODS and m not in neural:
+            raise InvalidArgumentError(
+                f"method {m!r} is neither classical ({', '.join(CLASSICAL_METHODS)}) "
+                "nor a loaded neural variant"
+            )
+
+
 def evaluate(
     recordings: list[Recording],
     methods: list[str],
@@ -206,29 +230,10 @@ def evaluate(
     recording and window.  Rows are ordered by alignment time, then
     method, then recording.
     """
-    if not methods:
-        raise InvalidArgumentError("method list is empty")
-    if not t_aligns:
-        raise InvalidArgumentError("alignment-time list is empty")
-    for T in t_aligns:
-        window_starts(0.0, T, "eval")  # rejects a non-finite or non-positive T before any work
-    for kind, entries in (("method", methods), ("alignment time", t_aligns)):
-        for i, e in enumerate(entries):
-            if e in entries[:i]:
-                raise InvalidArgumentError(f"{kind} {e} is listed more than once")
+    models = models or {}
+    check_eval_args(methods, t_aligns, models)
     if not recordings:
         raise InsufficientDataError("no recordings to evaluate")
-    models = models or {}
-
-    for m in methods:
-        if m in CLASSICAL_METHODS:
-            continue
-        matched = [T for T in models if nn_method_name(T) == m]
-        if not matched:
-            raise InvalidArgumentError(
-                f"method {m!r} is neither classical ({', '.join(CLASSICAL_METHODS)}) "
-                "nor a loaded neural variant"
-            )
 
     report = EvalReport()
     names = [_rec_name(rec, ri) for ri, rec in enumerate(recordings)]

@@ -349,16 +349,26 @@ def save_checkpoint(model: HeadingModel, path: str) -> None:
 
 def load_checkpoint(path: str) -> HeadingModel:
     """Rebuild a model from a checkpoint; verifies the data checksum and
-    that every parameter and normalization statistic is finite."""
+    that every parameter and normalization statistic is finite.  A
+    truncated or malformed header, a missing header key, or a manifest
+    entry reaching outside the data section raises ``HeadAlignError``."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise HeadAlignError(f"{path}: not a model checkpoint")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen))
+        try:
+            (hlen,) = struct.unpack("<Q", fh.read(8))
+            header = json.loads(fh.read(hlen))
+        except (struct.error, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
+            raise HeadAlignError(f"{path}: malformed checkpoint header: {exc}") from exc
         data = fh.read()
+    if not isinstance(header, dict):
+        raise HeadAlignError(f"{path}: checkpoint header is not a JSON object")
     if header.get("version") != CHECKPOINT_VERSION:
         raise HeadAlignError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
+    missing = sorted({"config", "norm", "manifest", "checksum"} - header.keys())
+    if missing:
+        raise HeadAlignError(f"{path}: checkpoint header lacks {', '.join(missing)}")
     if hashlib.sha256(data).hexdigest() != header["checksum"]:
         raise HeadAlignError(f"{path}: checkpoint data corrupted (checksum mismatch)")
 
@@ -370,11 +380,16 @@ def load_checkpoint(path: str) -> HeadingModel:
         if name not in params:
             raise HeadAlignError(f"{path}: unknown parameter {name!r} in manifest")
         p = params[name]
-        raw = data[entry["offset"] : entry["offset"] + entry["nbytes"]]
-        arr = np.frombuffer(raw, dtype="<f8").reshape(entry["shape"])
-        if arr.shape != p.shape:
-            raise ShapeError(f"{path}: {name} shape {arr.shape} != expected {p.shape}")
-        p[...] = arr
+        shape = tuple(entry["shape"])
+        if shape != p.shape:
+            raise ShapeError(f"{path}: {name} shape {shape} != expected {p.shape}")
+        lo, nbytes = entry["offset"], entry["nbytes"]
+        if not (isinstance(lo, int) and nbytes == 8 * p.size and 0 <= lo <= len(data) - nbytes):
+            raise HeadAlignError(
+                f"{path}: manifest range of {name} (offset {lo!r}, {nbytes!r} bytes) is not "
+                f"{8 * p.size} bytes inside the {len(data)}-byte data section"
+            )
+        p[...] = np.frombuffer(data[lo : lo + nbytes], dtype="<f8").reshape(shape)
     if (bad := _first_non_finite(model)) is not None:
         raise HeadAlignError(f"{path}: {bad} is not finite")
     return model.eval()

@@ -10,6 +10,7 @@ import struct
 import numpy as np
 import pytest
 
+from headalign import cli
 from headalign.cli import main
 from headalign.nn.model import load_checkpoint
 from headalign.recording import read_recording
@@ -118,6 +119,24 @@ def test_evaluate_rejects_repeated_entry(data_dir, tmp_path, capsys, flag, messa
     doc = json.loads(capsys.readouterr().err)
     assert doc == {"error": "invalid-argument", "message": message}
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("flag, message", [
+    pytest.param("--t-aligns=abc", "--t-aligns must be comma-separated numbers", id="not-a-number"),
+    pytest.param("--t-aligns=0", "window length must be finite and > 0 s", id="zero"),
+    pytest.param("--methods=I-OBA,I-OBA", "method I-OBA is listed more than once", id="repeated"),
+    pytest.param("--methods=I-OBA,X-OBA", "method 'X-OBA' is neither classical", id="unknown"),
+])
+def test_evaluate_checks_arguments_before_reading_data(data_dir, tmp_path, capsys, monkeypatch,
+                                                       flag, message):
+    reads = []
+    monkeypatch.setattr(cli, "read_recording", lambda path: reads.append(path))
+    rc = main(["evaluate", "--data", data_dir, flag, "--out-dir", str(tmp_path)])
+    assert rc == 1
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "invalid-argument"
+    assert message in doc["message"]
+    assert reads == []
 
 
 @pytest.mark.parametrize("t_align", ["nan", "inf", "1"])
@@ -331,6 +350,17 @@ def test_evaluate_rejects_non_finite_checkpoint(data_dir, trained_dir, tmp_path,
     assert rc == 1
     doc = json.loads(capsys.readouterr().err)
     assert doc == {"error": "headalign-error", "message": f"{bad}: b1.conv1.W is not finite"}
+
+
+def test_evaluate_rejects_malformed_checkpoint(data_dir, trained_dir, tmp_path, capsys):
+    bad = tmp_path / "list.ckpt"
+    hdr = b"[]"
+    bad.write_bytes(b"HDGNET1\n" + struct.pack("<Q", len(hdr)) + hdr)
+    rc = main(["evaluate", "--data", data_dir, "--methods", "I-OBA", "--t-aligns", "10",
+               "--checkpoint", str(bad), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    doc = json.loads(capsys.readouterr().err)
+    assert doc == {"error": "headalign-error", "message": f"{bad}: checkpoint header is not a JSON object"}
 
 
 @pytest.fixture(scope="module")

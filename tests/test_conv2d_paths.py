@@ -1,10 +1,13 @@
-"""Conv2d's batch-chunked im2col and per-tap input gradient against the
-single-copy formulas they replace, the ``input_grad=False`` switch, and
-the memory bound at the stock batch.
+"""Conv2d's two paths against the single-copy formulas: the direct
+path's batch-chunked im2col and per-tap input gradient, and the
+spectral path's width-axis rFFT products; the ``input_grad=False``
+switch, which layers select the spectral path, and the memory bound at
+the stock batch.
 
 Tolerance: every output, dW and dx agrees with the reference within
 1e-12 relative to the reference's largest magnitude (measured drift on
-numpy 2.4.6/OpenBLAS: at most 1.2e-15).
+numpy 2.4.6/OpenBLAS: at most 1.2e-15 on the direct path, 1.6e-15 on the
+spectral path).
 """
 from __future__ import annotations
 
@@ -115,7 +118,9 @@ def test_only_the_branch_input_convs_skip_the_input_gradient():
 
 def test_stock_batch_headingnet120_step_memory():
     """One batch-512 forward+backward of the longest variation; measured
-    peak 665 MiB, where one unchunked conv2 im2col copy alone is 7.1 GB."""
+    peak 664 MiB with conv1 and conv2 on the spectral path (665 MiB when
+    every conv ran direct), where one unchunked conv2 im2col copy alone
+    is 7.1 GB."""
     model = build_headingnet(120, seed=0).train()
     rng = np.random.default_rng(120)
     x1 = rng.normal(size=(512, 1, 6, model.config.input_width))
@@ -131,3 +136,91 @@ def test_stock_batch_headingnet120_step_memory():
     assert np.isfinite(pred).all()
     assert all(np.isfinite(g).all() for _, _, g in model.params())
     assert peak < 2**30, f"peak {peak / 2**20:.0f} MiB"
+
+
+# -- spectral path -----------------------------------------------------------
+
+SPECTRAL_CASES = {
+    # (in_ch, out_ch, kernel, input shape (N, C, H, W), input_grad)
+    "kh_1": (2, 3, (1, 60), (5, 2, 3, 120), True),
+    "kh_2": (3, 4, (2, 60), (5, 3, 4, 120), True),
+    "kh_3_odd_width": (2, 5, (3, 50), (4, 2, 5, 101), True),
+    "no_input_grad": (1, 6, (2, 60), (5, 1, 6, 120), False),
+    "single_sample": (16, 8, (2, 45), (1, 16, 5, 120), True),
+    # a kernel as wide as the input never meets SPECTRAL_RATIO; forced below
+    "full_width": (4, 2, (2, 30), (6, 4, 3, 30), True),
+}
+
+
+@pytest.mark.parametrize("chunked", [False, True], ids=["one_chunk", "chunked"])
+@pytest.mark.parametrize("case", sorted(SPECTRAL_CASES))
+def test_spectral_path_matches_single_copy_formulas(monkeypatch, case, chunked):
+    in_ch, out_ch, kernel, shape, input_grad = SPECTRAL_CASES[case]
+    conv, rng = _conv(in_ch, out_ch, kernel, seed=100 + sorted(SPECTRAL_CASES).index(case),
+                      input_grad=input_grad)
+    if case == "full_width":
+        monkeypatch.setattr(layers, "SPECTRAL_RATIO", 0)
+    assert conv.spectral(shape)
+    x = rng.normal(size=shape)
+    if chunked:
+        # room for two samples' spectra per chunk, so any batch > 2 splits
+        n, c, h, w = shape
+        per_sample = 16 * (w // 2 + 1) * (h - kernel[0] + 1) * (2 * kernel[0] * c + 3 * out_ch)
+        monkeypatch.setattr(layers, "IM2COL_BYTES", 2 * per_sample + 1)
+    chunks = len(conv._spectral_chunks(shape))
+    assert chunks == (-(-shape[0] // 2) if chunked else 1)
+    y = conv.forward(x)
+    dy = rng.normal(size=y.shape)
+    dx = conv.backward(dy)
+    y_ref, dW_ref, dx_ref = reference_conv(conv, x, dy)
+    assert_close(y, y_ref)
+    assert_close(conv.dW, dW_ref)
+    if input_grad:
+        assert_close(dx, dx_ref)
+        assert dx.flags.c_contiguous
+    else:
+        assert dx is None
+    np.testing.assert_array_equal(conv.db, dy.sum(axis=(0, 2, 3)))
+    assert y.flags.c_contiguous
+
+
+def test_spectral_gradients_match_central_differences():
+    rng = np.random.default_rng(53)
+    conv, _ = _conv(2, 3, (2, 50), seed=53)
+    x = rng.normal(size=(2, 2, 3, 100))
+    assert conv.spectral(x.shape)
+    dy = rng.normal(size=conv.forward(x).shape)
+    dx = conv.backward(dy)
+
+    def num_grad(a, eps=1e-6):
+        g = np.zeros_like(a)
+        flat = a.reshape(-1)
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + eps
+            up = float(np.sum(conv.forward(x) * dy))
+            flat[i] = keep - eps
+            down = float(np.sum(conv.forward(x) * dy))
+            flat[i] = keep
+            g.reshape(-1)[i] = (up - down) / (2.0 * eps)
+        return g
+
+    for got, wrt in ((dx, x), (conv.dW, conv.W), (conv.db, conv.b)):
+        got = got.copy()
+        assert np.abs(got - num_grad(wrt)).max() / np.abs(got).max() < 1e-6
+
+
+def _spectral_convs(t_align):
+    """Names of the Conv2d layers that take the spectral path in one
+    forward of the variation."""
+    model = build_headingnet(t_align, seed=0)
+    width = model.config.input_width
+    x = np.zeros((2, 1, model.config.input_rows, width))
+    model.forward(x, x)
+    convs = [layer for layer in model.layers() if isinstance(layer, Conv2d)]
+    return {conv.name for conv in convs if conv.spectral(conv._x.shape)}
+
+
+def test_only_the_long_headingnet60_convs_are_spectral():
+    assert _spectral_convs(10) == set()
+    assert _spectral_convs(60) == {"b1.conv1", "b2.conv1", "b1.conv2", "b2.conv2"}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -233,4 +234,49 @@ class TestCheckpoint:
         path = str(tmp_path / "m.ckpt")
         open(path, "wb").write(b"NOTHDG0\n" + b"\x00" * 64)
         with pytest.raises(HeadAlignError, match="not a model checkpoint"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _without(header: dict, key: str) -> dict:
+        return {k: v for k, v in header.items() if k != key}
+
+    @staticmethod
+    def _shifted(header: dict, field: str, delta: int) -> dict:
+        manifest = [dict(e) for e in header["manifest"]]
+        manifest[-1][field] += delta
+        return header | {"manifest": manifest}
+
+    @pytest.mark.parametrize("case, message", [
+        ("truncated_length", "malformed checkpoint header"),
+        ("non_json_header", "malformed checkpoint header"),
+        ("list_header", "checkpoint header is not a JSON object"),
+        ("missing_manifest", "checkpoint header lacks manifest"),
+        ("missing_checksum_and_norm", "checkpoint header lacks checksum, norm"),
+        ("offset_past_data", "manifest range of fc4.b"),
+        ("negative_offset", "manifest range of fc4.b"),
+        ("short_block", "manifest range of fc4.b"),
+    ])
+    def test_malformed_file_raises_typed_error(self, tmp_path, case, message):
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(self._model(), path)
+        raw = open(path, "rb").read()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        header, data = json.loads(raw[16 : 16 + hlen]), raw[16 + hlen :]
+        headers = {
+            "list_header": [header],
+            "missing_manifest": self._without(header, "manifest"),
+            "missing_checksum_and_norm": self._without(self._without(header, "checksum"), "norm"),
+            "offset_past_data": self._shifted(header, "offset", 8),
+            "negative_offset": self._shifted(header, "offset", -len(data) - 8),
+            "short_block": self._shifted(header, "nbytes", -8),
+        }
+        if case == "truncated_length":
+            blob = raw[:12]
+        elif case == "non_json_header":
+            blob = raw[:8] + struct.pack("<Q", 9) + b"not json!" + data
+        else:
+            hdr = json.dumps(headers[case], sort_keys=True).encode()
+            blob = raw[:8] + struct.pack("<Q", len(hdr)) + hdr + data
+        open(path, "wb").write(blob)
+        with pytest.raises(HeadAlignError, match=message):
             load_checkpoint(path)
