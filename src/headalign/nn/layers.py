@@ -8,10 +8,10 @@ storage with the layer.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from ..errors import InvalidArgumentError, ShapeError
@@ -104,7 +104,11 @@ class Conv2d(Layer):
 
     Both walk the batch in chunks under ``IM2COL_BYTES``.  With
     ``input_grad=False`` (a layer fed by the network input) backward
-    skips dx and returns ``None``.
+    skips dx and returns ``None``.  The spectral path keeps the kernel
+    spectra it built, per input width, with a copy of the ``W`` they came
+    from, and reuses them while ``W`` holds the same bits; the optimiser,
+    the checkpoint loader and the initialiser all write ``W`` in place,
+    so the check reads its contents.
     """
 
     def __init__(
@@ -122,6 +126,9 @@ class Conv2d(Layer):
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
         self._x: Array | None = None
+        # spectral path: kept GEMM-layout kernel spectra and the W they are of
+        self._kept_W: Array | None = None
+        self._kept: dict[tuple[str, int], Array] = {}
 
     def params(self):
         return [(f"{self.name}.W", self.W, self.dW), (f"{self.name}.b", self.b, self.db)]
@@ -138,10 +145,14 @@ class Conv2d(Layer):
 
     def _windows(self, x: Array):
         """Yield (batch slice, (n, C, Ho, Wo, kh, kw) window view) chunks."""
+        x = np.ascontiguousarray(x)
         n, c, h, w = x.shape
-        per_sample = c * (h - self.kh + 1) * (w - self.kw + 1) * self.kh * self.kw * x.itemsize
-        for sl in self._chunks(n, per_sample):
-            yield sl, sliding_window_view(x[sl], (self.kh, self.kw), axis=(2, 3))
+        shape = (n, c, h - self.kh + 1, w - self.kw + 1, self.kh, self.kw)
+        # sliding_window_view's strided view, without its argument handling
+        win = np.ndarray(shape, x.dtype, x, strides=x.strides + x.strides[2:])
+        win.flags.writeable = False
+        for sl in self._chunks(n, math.prod(shape[1:]) * x.itemsize):
+            yield sl, win[sl]
 
     def forward(self, x: Array, training: bool = False, rng=None) -> Array:
         if x.ndim != 4 or x.shape[1] != self.in_ch:
@@ -154,11 +165,16 @@ class Conv2d(Layer):
         if self.spectral(x.shape):
             return self._spectral_forward(x)
         n, _, h, w = x.shape
-        y = np.empty((n, self.out_ch, h - self.kh + 1, w - self.kw + 1))
+        o = self.out_ch
+        y = np.empty((n, o, h - self.kh + 1, w - self.kw + 1))
+        # np.tensordot(win, W, axes=([1, 4, 5], [1, 2, 3])) spelled out, the
+        # same copies and GEMM: (n*Ho*Wo, C*kh*kw) windows @ (C*kh*kw, O)
+        wt = self.W.transpose(1, 2, 3, 0).reshape(-1, o)
+        b = self.b[:, None, None]
         for sl, win in self._windows(x):
-            # win: (n, C, Ho, Wo, kh, kw); contract C, kh, kw against W
-            y[sl] = np.tensordot(win, self.W, axes=([1, 4, 5], [1, 2, 3])).transpose(0, 3, 1, 2)
-        y += self.b[None, :, None, None]
+            m, _, ho, wo = win.shape[:4]
+            cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(-1, len(wt))
+            np.add(np.dot(cols, wt).reshape(m, ho, wo, o).transpose(0, 3, 1, 2), b, out=y[sl])
         return y
 
     def backward(self, dy: Array) -> Array | None:
@@ -185,9 +201,31 @@ class Conv2d(Layer):
 
     def _kernel_spectrum(self, w: int) -> Array:
         """conj(rFFT_w) of every kernel row, (O, C, kh, F) complex; one real
-        GEMM, recomputed per call because the optimiser updates W in place."""
+        GEMM.  Called through ``_kept_spectrum``, which keeps its GEMM layouts."""
         spec = (self.W.reshape(-1, self.kw) @ _dft(self.kw, w)).view(np.complex128)
         return spec.reshape(self.out_ch, self.in_ch, self.kh, -1)
+
+    def _kept_spectrum(self, kind: str, w: int) -> Array:
+        """The kernel spectrum at input width w in a GEMM layout: ``"kc"``,
+        conj(rFFT) as (F, kh*C, O) for forward, or ``"kt"``, the rFFT itself
+        as (F, O, kh*C) for dx; rows ordered (a, c) as in _stacked_spectra.
+        Built once per (kind, w) and kept while W holds the same bits."""
+        if self._kept_W is None or not np.array_equal(
+            self._kept_W.view(np.uint64), self.W.view(np.uint64)
+        ):
+            self._kept_W = self.W.copy()
+            self._kept = {}
+        spec = self._kept.get((kind, w))
+        if spec is None:
+            k = self._kernel_spectrum(w)
+            if kind == "kc":
+                spec = np.ascontiguousarray(k.transpose(3, 2, 1, 0))
+                spec = spec.reshape(-1, self.kh * self.in_ch, self.out_ch)
+            else:
+                spec = np.conjugate(k.transpose(3, 0, 2, 1), order="C")
+                spec = spec.reshape(-1, self.out_ch, self.kh * self.in_ch)
+            self._kept[kind, w] = spec
+        return spec
 
     def _spectral_chunks(self, shape: tuple[int, ...]):
         # per sample: the row-stacked input spectra twice (the stack, and
@@ -212,17 +250,15 @@ class Conv2d(Layer):
         return out.reshape(xf.shape[0], n * ho, self.kh * c)
 
     def _spectral_forward(self, x: Array) -> Array:
-        n, c, h, w = x.shape
+        n, _, h, w = x.shape
         ho, wo, o = h - self.kh + 1, w - self.kw + 1, self.out_ch
-        # (F, kh*C, O), rows ordered (a, c) as in _stacked_spectra
-        kc = np.ascontiguousarray(self._kernel_spectrum(w).transpose(3, 2, 1, 0))
-        kc = kc.reshape(-1, self.kh * c, o)
+        kc = self._kept_spectrum("kc", w)
+        b = self.b[:, None, None]
         y = np.empty((n, o, ho, wo))
         for sl in self._spectral_chunks(x.shape):
             xs = x[sl]
             yf = (self._stacked_spectra(xs) @ kc).reshape(-1, len(xs), ho, o)  # (F, m, Ho, O)
-            y[sl] = np.fft.irfft(_bins_last(yf), n=w)[..., :wo]
-        y += self.b[None, :, None, None]
+            np.add(np.fft.irfft(_bins_last(yf), n=w)[..., :wo], b, out=y[sl])
         return y
 
     def _spectral_backward(self, x: Array, dy: Array) -> Array | None:
@@ -230,9 +266,7 @@ class Conv2d(Layer):
         ho, o, kh = h - self.kh + 1, self.out_ch, self.kh
         f = w // 2 + 1
         if self.input_grad:
-            # rFFT of the kernel itself (not conjugated), (F, O, kh*C)
-            kt = np.conjugate(self._kernel_spectrum(w).transpose(3, 0, 2, 1), order="C")
-            kt = kt.reshape(f, o, kh * c)
+            kt = self._kept_spectrum("kt", w)
             dx = np.empty_like(x)
         # conj(dW spectrum), (F, kh*C, O), summed over the batch
         gc = np.zeros((f, kh * c, o), dtype=np.complex128)
@@ -269,30 +303,46 @@ class MaxPool1x2(Layer):
         b = x[..., 1:w:2]
         self._first = a >= b  # ties keep the first element
         self._in_width = x.shape[-1]
-        return np.where(self._first, a, b)
+        # b first: np.maximum returns its second argument on a tie of 0.0
+        # and -0.0, as np.where(a >= b, a, b) does
+        return np.maximum(b, a)
 
     def backward(self, dy: Array) -> Array:
-        dx = np.zeros(dy.shape[:-1] + (self._in_width,))
+        dx = np.empty(dy.shape[:-1] + (self._in_width,))
         w = self._in_width - (self._in_width % 2)
-        dx[..., 0:w:2] = np.where(self._first, dy, 0.0)
-        dx[..., 1:w:2] = np.where(self._first, 0.0, dy)
+        # on the bits, so every slot is exactly dy or +0.0: a pair's first
+        # slot gets dy & mask, the mask all ones where the first element
+        # won and zero elsewhere, and its second slot the rest, dy ^ that
+        even = dx[..., 0:w:2].view(np.int64)
+        bits = dy.view(np.int64)
+        np.subtract(0, self._first, out=even, dtype=np.int64)
+        np.bitwise_and(even, bits, out=even)
+        np.bitwise_xor(bits, even, out=dx[..., 1:w:2].view(np.int64))
+        dx[..., w:] = 0.0
         return dx
 
 
 class LeakyReLU(Layer):
-    """max(x, 0) + alpha * min(x, 0); slope alpha for x <= 0."""
+    """max(x, 0) + alpha * min(x, 0); slope alpha for x <= 0.  Computed
+    as max(x, alpha * x), which needs 0 <= alpha <= 1."""
 
     def __init__(self, alpha: float, name: str = "lrelu"):
-        self.alpha = float(alpha)
+        alpha = float(alpha)
+        if not 0.0 <= alpha <= 1.0:
+            raise InvalidArgumentError(f"{name}: leaky slope must be in [0, 1], got {alpha}")
+        self.alpha = alpha
         self.name = name
-        self._pos: Array | None = None
+        self._y: Array | None = None
 
     def forward(self, x: Array, training: bool = False, rng=None) -> Array:
-        self._pos = x > 0
-        return np.where(self._pos, x, self.alpha * x)
+        y = np.multiply(x, self.alpha)
+        self._y = np.maximum(x, y, out=y)
+        return y
 
     def backward(self, dy: Array) -> Array:
-        return np.where(self._pos, dy, self.alpha * dy)
+        # y > 0 exactly where x > 0; dy times a slope of 1.0 or alpha
+        slope = np.array([self.alpha, 1.0]).take((self._y > 0).view(np.uint8))
+        return np.multiply(dy, slope, out=slope)
 
 
 class Tanh(Layer):

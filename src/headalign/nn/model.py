@@ -61,6 +61,9 @@ DROPOUT_P = {10: 0.2, 30: 0.2, 60: 0.2, 90: 0.2, 120: 0.3}
 #: IMU-to-aiding rate ratio handled by the input average pool.
 RATE_MATCH_K = 20
 
+#: Per-row normalization statistics of the two branch inputs.
+NORM_KEYS = ("mean1", "std1", "mean2", "std2")
+
 
 @dataclass
 class HeadingNetConfig:
@@ -99,18 +102,25 @@ class HeadingNetConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HeadingNetConfig":
+        """Inverse of ``to_dict``.  A field that is missing or not of its
+        type raises ``InvalidArgumentError`` naming it."""
+        if not isinstance(d, dict):
+            raise InvalidArgumentError(f"config must be an object, got {d!r}")
+        required = ("t_align", "k1", "k2", "k3", "pool3", "k4", "leaky_alpha", "dropout_p")
+        if missing := [name for name in required if name not in d]:
+            raise InvalidArgumentError(f"config lacks {', '.join(missing)}")
         return cls(
-            t_align=int(d["t_align"]),
-            k1=tuple(d["k1"]),
-            k2=tuple(d["k2"]),
-            k3=tuple(d["k3"]),
-            pool3=bool(d["pool3"]),
-            k4=tuple(d["k4"]),
-            k5=tuple(d["k5"]) if d.get("k5") else None,
-            leaky_alpha=float(d["leaky_alpha"]),
-            dropout_p=float(d["dropout_p"]),
-            avgpool_k=int(d.get("avgpool_k", RATE_MATCH_K)),
-            input_rows=int(d.get("input_rows", 6)),
+            t_align=_count("t_align", d["t_align"]),
+            k1=_kernel("k1", d["k1"]),
+            k2=_kernel("k2", d["k2"]),
+            k3=_kernel("k3", d["k3"]),
+            pool3=_field("pool3", d["pool3"], isinstance(d["pool3"], bool), "true or false"),
+            k4=_kernel("k4", d["k4"]),
+            k5=None if d.get("k5") is None else _kernel("k5", d["k5"]),
+            leaky_alpha=_real("leaky_alpha", d["leaky_alpha"]),
+            dropout_p=_real("dropout_p", d["dropout_p"]),
+            avgpool_k=_count("avgpool_k", d.get("avgpool_k", RATE_MATCH_K)),
+            input_rows=_count("input_rows", d.get("input_rows", 6)),
         )
 
     @classmethod
@@ -131,6 +141,31 @@ class HeadingNetConfig:
             leaky_alpha=v["alpha"],
             dropout_p=DROPOUT_P[t_align],
         )
+
+
+def _field(name: str, v, ok: bool, what: str):
+    """``v`` if ``ok``, else ``InvalidArgumentError`` naming the field."""
+    if not ok:
+        raise InvalidArgumentError(f"config field {name} must be {what}, got {v!r}")
+    return v
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v > 0
+
+
+def _count(name: str, v) -> int:
+    return _field(name, v, _is_count(v), "a positive integer")
+
+
+def _kernel(name: str, v) -> tuple[int, int]:
+    ok = isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_count, v))
+    return tuple(_field(name, v, ok, "two positive integers"))
+
+
+def _real(name: str, v) -> float:
+    ok = isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
+    return float(_field(name, v, ok, "a finite number"))
 
 
 def _branch_layers(cfg: HeadingNetConfig, tag: str) -> list[Layer]:
@@ -347,11 +382,50 @@ def save_checkpoint(model: HeadingModel, path: str) -> None:
         fh.write(data)
 
 
+def _norm_arrays(norm, rows: int) -> dict[str, Array]:
+    """The header's normalization statistics as arrays of ``rows`` values."""
+    if not isinstance(norm, dict) or sorted(norm) != sorted(NORM_KEYS):
+        got = sorted(norm) if isinstance(norm, dict) else type(norm).__name__
+        raise InvalidArgumentError(f"norm must be an object with keys {', '.join(NORM_KEYS)}, got {got}")
+    arrays = {}
+    for key, v in norm.items():
+        try:
+            a = np.asarray(v, dtype=float)
+        except (TypeError, ValueError):
+            a = None
+        if a is None or a.shape != (rows,):
+            raise InvalidArgumentError(f"norm field {key} must be {rows} numbers, got {v!r}")
+        arrays[key] = a
+    return arrays
+
+
+def _manifest_entries(manifest) -> list[dict]:
+    """The header's manifest, each entry checked for its keys and their types."""
+    if not isinstance(manifest, list):
+        raise InvalidArgumentError(f"manifest must be a list, got {type(manifest).__name__}")
+    keys = ("name", "shape", "offset", "nbytes")
+    for i, entry in enumerate(manifest):
+        if not isinstance(entry, dict):
+            raise InvalidArgumentError(f"manifest entry {i} is not an object: {entry!r}")
+        if missing := [k for k in keys if k not in entry]:
+            raise InvalidArgumentError(f"manifest entry {i} lacks {', '.join(missing)}")
+        shape = entry["shape"]
+        if not (isinstance(entry["name"], str) and isinstance(shape, list)
+                and all(type(v) is int for v in shape + [entry["offset"], entry["nbytes"]])):
+            raise InvalidArgumentError(
+                f"manifest entry {i} needs a string name, a list shape and integer offset "
+                f"and nbytes, got {entry!r}"
+            )
+    return manifest
+
+
 def load_checkpoint(path: str) -> HeadingModel:
     """Rebuild a model from a checkpoint; verifies the data checksum and
     that every parameter and normalization statistic is finite.  A
-    truncated or malformed header, a missing header key, or a manifest
-    entry reaching outside the data section raises ``HeadAlignError``."""
+    truncated or malformed header, a missing header key or field, a field
+    of the wrong type or size, a manifest that does not list each
+    parameter once, or a manifest entry reaching outside the data section
+    raises ``HeadAlignError``."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -371,20 +445,34 @@ def load_checkpoint(path: str) -> HeadingModel:
         raise HeadAlignError(f"{path}: checkpoint header lacks {', '.join(missing)}")
     if hashlib.sha256(data).hexdigest() != header["checksum"]:
         raise HeadAlignError(f"{path}: checkpoint data corrupted (checksum mismatch)")
+    try:
+        config = HeadingNetConfig.from_dict(header["config"])
+        norm = _norm_arrays(header["norm"], config.input_rows)
+        manifest = _manifest_entries(header["manifest"])
+    except InvalidArgumentError as exc:
+        raise HeadAlignError(f"{path}: malformed checkpoint: {exc}") from None
 
-    model = HeadingModel(HeadingNetConfig.from_dict(header["config"]))
-    model.norm = {k: np.asarray(v, dtype=float) for k, v in header["norm"].items()}
+    model = HeadingModel(config)
+    model.norm = norm
     params = {name: p for name, p, _ in model.params()}
-    for entry in header["manifest"]:
+    names = [entry["name"] for entry in manifest]
+    if unknown := [name for name in names if name not in params]:
+        raise HeadAlignError(f"{path}: unknown parameter {unknown[0]!r} in manifest")
+    if sorted(names) != sorted(params):
+        absent = [name for name in params if name not in names]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        raise HeadAlignError(
+            f"{path}: manifest does not list each parameter once "
+            f"(missing {absent}, repeated {repeated})"
+        )
+    for entry in manifest:
         name = entry["name"]
-        if name not in params:
-            raise HeadAlignError(f"{path}: unknown parameter {name!r} in manifest")
         p = params[name]
         shape = tuple(entry["shape"])
         if shape != p.shape:
             raise ShapeError(f"{path}: {name} shape {shape} != expected {p.shape}")
         lo, nbytes = entry["offset"], entry["nbytes"]
-        if not (isinstance(lo, int) and nbytes == 8 * p.size and 0 <= lo <= len(data) - nbytes):
+        if not (nbytes == 8 * p.size and 0 <= lo <= len(data) - nbytes):
             raise HeadAlignError(
                 f"{path}: manifest range of {name} (offset {lo!r}, {nbytes!r} bytes) is not "
                 f"{8 * p.size} bytes inside the {len(data)}-byte data section"

@@ -363,6 +363,22 @@ def test_evaluate_rejects_malformed_checkpoint(data_dir, trained_dir, tmp_path, 
     assert doc == {"error": "headalign-error", "message": f"{bad}: checkpoint header is not a JSON object"}
 
 
+def test_evaluate_rejects_checkpoint_config_without_field(data_dir, trained_dir, tmp_path, capsys):
+    raw = open(os.path.join(trained_dir, "headingnet10.ckpt"), "rb").read()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + hlen])
+    del header["config"]["k1"]  # the data section and its checksum stay intact
+    hdr = json.dumps(header, sort_keys=True).encode()
+    bad = tmp_path / "no_k1.ckpt"
+    bad.write_bytes(raw[:8] + struct.pack("<Q", len(hdr)) + hdr + raw[16 + hlen :])
+    rc = main(["evaluate", "--data", data_dir, "--methods", "HeadingNet10", "--t-aligns", "10",
+               "--checkpoint", str(bad), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err) == {"error": "headalign-error", "message": f"{bad}: malformed checkpoint: config lacks k1"}
+
+
 @pytest.fixture(scope="module")
 def eval_dir(data_dir, trained_dir, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("eval"))

@@ -19,7 +19,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from headalign.nn import layers
 from headalign.nn.layers import Conv2d
-from headalign.nn.model import build_headingnet
+from headalign.nn.model import build_headingnet, load_checkpoint, save_checkpoint
+from headalign.nn.optim import AdamW
 from headalign.rng import stream
 
 RTOL = 1e-12
@@ -118,9 +119,8 @@ def test_only_the_branch_input_convs_skip_the_input_gradient():
 
 def test_stock_batch_headingnet120_step_memory():
     """One batch-512 forward+backward of the longest variation; measured
-    peak 664 MiB with conv1 and conv2 on the spectral path (665 MiB when
-    every conv ran direct), where one unchunked conv2 im2col copy alone
-    is 7.1 GB."""
+    peak 579 MiB with conv1 and conv2 on the spectral path, where one
+    unchunked conv2 im2col copy alone is 7.1 GB."""
     model = build_headingnet(120, seed=0).train()
     rng = np.random.default_rng(120)
     x1 = rng.normal(size=(512, 1, 6, model.config.input_width))
@@ -224,3 +224,75 @@ def _spectral_convs(t_align):
 def test_only_the_long_headingnet60_convs_are_spectral():
     assert _spectral_convs(10) == set()
     assert _spectral_convs(60) == {"b1.conv1", "b2.conv1", "b1.conv2", "b2.conv2"}
+
+
+# -- kept kernel spectra -------------------------------------------------------
+
+
+def test_kernel_spectra_are_built_once_while_w_is_unchanged(monkeypatch):
+    conv, rng = _conv(16, 8, (2, 45), seed=61)
+    built = []
+    kernel_spectrum = Conv2d._kernel_spectrum
+    monkeypatch.setattr(Conv2d, "_kernel_spectrum", lambda self, w: built.append(w) or kernel_spectrum(self, w))
+    x = rng.normal(size=(3, 16, 5, 120))
+    for _ in range(3):
+        y = conv.forward(x)
+        conv.backward(rng.normal(size=y.shape))
+    assert built == [120, 120]  # forward's layout once, backward's once
+    conv.forward(rng.normal(size=(1, 16, 5, 100)))
+    assert built == [120, 120, 100]  # kept per input width
+    conv.forward(x)
+    assert built == [120, 120, 100]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _assert_like_a_fresh_layer(conv, x, dy):
+    """conv's next forward and backward equal, bit for bit, those of a new
+    layer holding the same weights."""
+    fresh = Conv2d(conv.in_ch, conv.out_ch, (conv.kh, conv.kw), input_grad=conv.input_grad)
+    fresh.W[...] = conv.W
+    fresh.b[...] = conv.b
+    assert conv.spectral(x.shape)
+    for got, want in ((conv.forward(x), fresh.forward(x)), (conv.backward(dy), fresh.backward(dy)),
+                      (conv.dW, fresh.dW), (conv.db, fresh.db)):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def _edit_one_element(conv, rng):
+    conv.W[1, 2, 0, 3] += 0.25
+
+
+def _assign_all(conv, rng):
+    conv.W[...] = rng.normal(size=conv.W.shape)
+
+
+def _adamw_step(conv, rng):
+    conv.dW[...] = rng.normal(size=conv.W.shape)
+    conv.db[...] = rng.normal(size=conv.b.shape)
+    AdamW(conv.params(), lr=1e-2, weight_decay=1e-2).step()
+
+
+@pytest.mark.parametrize("edit", [_edit_one_element, _assign_all, _adamw_step])
+def test_kept_spectra_follow_in_place_edits_of_w(edit):
+    conv, rng = _conv(16, 8, (2, 45), seed=62)
+    x = rng.normal(size=(2, 16, 5, 120))
+    dy = rng.normal(size=(2, 8, 4, 76))
+    _assert_like_a_fresh_layer(conv, x, dy)  # keeps spectra of the first W
+    before = conv.W.copy()
+    edit(conv, rng)
+    assert not np.array_equal(conv.W, before)
+    _assert_like_a_fresh_layer(conv, x, dy)
+
+
+def test_kept_spectra_follow_the_weights_a_checkpoint_loads(tmp_path):
+    # the model's constructor probes branch 1 with its zero weights, so
+    # b1.conv2 keeps spectra of W = 0 before the loader writes W in place
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(build_headingnet(60, seed=3), path)
+    conv = {layer.name: layer for layer in load_checkpoint(path).layers()}["b1.conv2"]
+    assert conv._kept_W is not None and np.any(conv._kept_W != conv.W)
+    rng = np.random.default_rng(63)
+    _assert_like_a_fresh_layer(conv, rng.normal(size=(2, 16, 5, 120)), rng.normal(size=(2, 32, 4, 76)))

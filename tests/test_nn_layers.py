@@ -171,6 +171,79 @@ class TestActivations:
         assert rel_err(act.backward(dy), numeric_input_grad(lambda v: act.forward(v), x, dy)) < 1e-6
 
 
+def where_pool(x, dy):
+    """MaxPool1x2 forward and backward in their np.where formulation."""
+    w = x.shape[-1] - x.shape[-1] % 2
+    a, b = x[..., 0:w:2], x[..., 1:w:2]
+    first = a >= b
+    dx = np.zeros(x.shape)
+    dx[..., 0:w:2] = np.where(first, dy, 0.0)
+    dx[..., 1:w:2] = np.where(first, 0.0, dy)
+    return np.where(first, a, b), dx
+
+
+def where_leaky_relu(x, dy, alpha):
+    """LeakyReLU forward and backward in their np.where formulation."""
+    pos = x > 0
+    return np.where(pos, x, alpha * x), np.where(pos, dy, alpha * dy)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _signed_zeros(rng, a):
+    """``a`` with each exact zero given a random sign."""
+    return np.where(a == 0, rng.choice([-0.0, 0.0], size=a.shape), a)
+
+
+def where_case(kind, shape, seed):
+    """(x, dy) with random values, or with small integers, many of them
+    tied within a pooling pair and many zeros of either sign."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.normal(size=shape), rng.normal(size=shape)
+    x, dy = (_signed_zeros(rng, rng.integers(-2, 3, size=shape).astype(float)) for _ in range(2))
+    x[..., 1::2] = np.where(rng.random(x[..., 1::2].shape) < 0.5, x[..., 0 : shape[-1] - 1 : 2], x[..., 1::2])
+    x[..., 1::2][x[..., 1::2] == 0] *= -1.0  # ties of 0.0 and -0.0
+    return x, dy
+
+
+WHERE_SHAPES = [(1, 16, 5, 40), (1, 16, 5, 41), (512, 16, 5, 41)]
+
+
+class TestWhereFormulation:
+    """The pooling and activation passes give, bit for bit, what their
+    np.where formulation gives: values, tie routing and signed zeros."""
+
+    @pytest.mark.parametrize("kind", ["random", "tied"])
+    @pytest.mark.parametrize("shape", WHERE_SHAPES, ids=str)
+    def test_max_pool(self, shape, kind):
+        x, dy_in = where_case(kind, shape, seed=shape[0] + shape[-1])
+        pool = MaxPool1x2()
+        y = pool.forward(x)
+        dy = dy_in[..., : y.shape[-1]]
+        y_ref, dx_ref = where_pool(x, dy)
+        assert_same_bits(y, y_ref)
+        assert_same_bits(pool.backward(dy), dx_ref)
+
+    @pytest.mark.parametrize("kind", ["random", "tied"])
+    @pytest.mark.parametrize("shape", WHERE_SHAPES, ids=str)
+    def test_leaky_relu(self, shape, kind):
+        x, dy = where_case(kind, shape, seed=shape[0] + shape[-1] + 1)
+        for alpha in (0.0, 0.05, 0.1, 1.0):
+            act = LeakyReLU(alpha)
+            y_ref, dx_ref = where_leaky_relu(x, dy, alpha)
+            assert_same_bits(act.forward(x), y_ref)
+            assert_same_bits(act.backward(dy), dx_ref)
+
+    @pytest.mark.parametrize("alpha", [-0.01, 1.5, np.nan, np.inf, -np.inf])
+    def test_leaky_slope_outside_unit_interval_refused(self, alpha):
+        with pytest.raises(InvalidArgumentError, match="leaky slope must be in"):
+            LeakyReLU(alpha)
+
+
 class TestDropout:
     def test_identity_when_eval_or_p_zero(self):
         x = np.arange(6.0).reshape(2, 3)

@@ -280,3 +280,50 @@ class TestCheckpoint:
         open(path, "wb").write(blob)
         with pytest.raises(HeadAlignError, match=message):
             load_checkpoint(path)
+
+    def _rewrite_header(self, path: str, edit) -> None:
+        """Save a checkpoint to ``path`` with ``edit(header)`` applied to
+        its header; the data section and its checksum stay intact."""
+        save_checkpoint(self._model(), path)
+        raw = open(path, "rb").read()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16 : 16 + hlen])
+        edit(header)
+        hdr = json.dumps(header, sort_keys=True).encode()
+        open(path, "wb").write(raw[:8] + struct.pack("<Q", len(hdr)) + hdr + raw[16 + hlen :])
+
+    # each edit keeps the checksum intact; read without checks, they raise
+    # a raw KeyError, TypeError, ValueError or AttributeError, or load
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda h: h["config"].pop("k1"), "config lacks k1", id="config_without_k1"),
+        pytest.param(lambda h: h["config"].update(k1="ab"),
+                     "config field k1 must be two positive integers, got 'ab'", id="k1_string"),
+        pytest.param(lambda h: h["config"].update(leaky_alpha="x"),
+                     "config field leaky_alpha must be a finite number, got 'x'", id="alpha_string"),
+        pytest.param(lambda h: h.update(norm=list(h["norm"].values())),
+                     "norm must be an object with keys mean1, std1, mean2, std2, got list", id="norm_list"),
+        pytest.param(lambda h: h.update(manifest=5), "manifest must be a list, got int", id="manifest_int"),
+        pytest.param(lambda h: h["manifest"][0].pop("name"), "manifest entry 0 lacks name",
+                     id="entry_without_name"),
+        pytest.param(lambda h: h["norm"].update(mean1=h["norm"]["mean1"][:5]),
+                     "norm field mean1 must be 6 numbers", id="short_mean1"),
+    ])
+    def test_malformed_contents_raise_typed_error(self, tmp_path, edit, message):
+        path = str(tmp_path / "m.ckpt")
+        self._rewrite_header(path, edit)
+        with pytest.raises(HeadAlignError) as info:
+            load_checkpoint(path)
+        assert type(info.value) is HeadAlignError
+        assert str(info.value).startswith(f"{path}: malformed checkpoint: {message}")
+
+    def test_manifest_must_list_every_parameter(self, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        self._rewrite_header(path, lambda h: h["manifest"].pop())
+        with pytest.raises(HeadAlignError, match=r"missing \['fc4.b'\], repeated \[\]"):
+            load_checkpoint(path)
+
+    def test_leaky_alpha_outside_unit_interval_refused(self, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        self._rewrite_header(path, lambda h: h["config"].update(leaky_alpha=2))
+        with pytest.raises(InvalidArgumentError, match="leaky slope must be in \\[0, 1\\], got 2.0"):
+            load_checkpoint(path)
