@@ -48,6 +48,13 @@ class ShapeError(HeadAlignError, ValueError):
     code = "shape-error"
 
 
+class ForwardCacheError(HeadAlignError, RuntimeError):
+    """A layer's backward found no forward cache to consume: no forward
+    ran before it, or a backward already consumed that forward's."""
+
+    code = "forward-cache"
+
+
 class RecordingFormatError(HeadAlignError, ValueError):
     """Malformed recording file; message cites the offending line."""
 

@@ -1,9 +1,9 @@
 """Layers with hand-written forward/backward passes.
 
 Every layer works on float64 numpy arrays shaped (batch, channels,
-height, width) unless noted, caches what its backward pass needs, and
-exposes ``params()`` as a list of (name, value, grad) triples sharing
-storage with the layer.
+height, width) unless noted, caches what its backward pass needs (the
+backward pass consumes it), and exposes ``params()`` as a list of
+(name, value, grad) triples sharing storage with the layer.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import NDArray
 
-from ..errors import InvalidArgumentError, ShapeError
+from ..errors import ForwardCacheError, InvalidArgumentError, ShapeError
 
 __all__ = [
     "Conv2d",
@@ -44,16 +44,49 @@ class Layer:
 
     def backward(self, dy: Array) -> Array | None:
         """Store the parameter gradients and return dL/dx.  Only a
-        ``Conv2d`` built with ``input_grad=False`` returns ``None``."""
+        ``Conv2d`` built with ``input_grad=False`` returns ``None``.
+
+        Backward consumes the cache of the forward before it: it takes
+        the cache and clears it, so a network's backward frees each
+        layer's activations once it has passed the layer, and a trained
+        model holds none.  A backward with no forward cache to consume
+        raises ``ForwardCacheError``."""
         raise NotImplementedError
 
+    def _take(self, attr: str):
+        """Forward cache ``attr``, cleared on the layer."""
+        value = getattr(self, attr)
+        if value is None:
+            raise ForwardCacheError(
+                f"{self.name}: backward has no forward cache {attr} to consume; "
+                "run forward before each backward"
+            )
+        setattr(self, attr, None)
+        return value
 
-#: Most bytes one batch chunk's working copy may take: the im2col
-#: windows on the direct path, the complex spectra of the rows stacked
-#: into the GEMM and of its output on the spectral path.  Forward and
-#: backward walk the batch in chunks under it; a chunk holds at least
-#: one sample.
-IM2COL_BYTES = 64 * 2**20
+
+#: Most bytes one batch chunk's temporaries may take.  On the direct
+#: path: the im2col windows plus the GEMM output in forward; the windows,
+#: the transposed dy, the chunk's NHWC input gradient and one tap's
+#: product in backward.  On the spectral path: the complex spectra of the
+#: rows stacked into the GEMM and of its output.  Forward and backward
+#: walk the batch in chunks under it; a chunk holds at least one sample.
+#: Chosen by a sweep on 2 vCPUs: step time and traced peak of a
+#: stock-batch (512) training step, HeadingNet10/30/60/90/120, and the
+#: ``train_nets`` benchmark's peak RSS (HeadingNet10/60/90/120 step times
+#: at 4 and 8 MiB are medians of three runs, the rest one run):
+#:
+#:    4 MiB  0.38/1.64/3.08/4.79/7.92 s   46/115/228/321/429 MiB  174 MiB
+#:    8 MiB  0.42/1.68/2.68/4.12/6.13 s   49/119/231/324/429 MiB  181 MiB
+#:   16 MiB  0.40/1.93/2.42/4.47/6.06 s   56/127/239/331/436 MiB  205 MiB
+#:   32 MiB  0.37/2.15/2.65/4.92/5.99 s   70/142/254/346/451 MiB  230 MiB
+#:
+#: 8 MiB is as fast as the larger budgets within the host's +-20 % and
+#: peaks lower; 4 MiB slows the spectral variations, whose chunks become
+#: a few samples each.  Below 32 MiB, the most glibc's dynamic mmap
+#: threshold rises to, a chunk's copies reuse heap pages instead of
+#: faulting in a new mapping on every call.
+IM2COL_BYTES = 8 * 2**20
 
 #: A conv runs in the frequency domain when its direct multiplies per
 #: output row and channel pair, (W - kw + 1) * kw, reach this many times
@@ -93,7 +126,9 @@ class Conv2d(Layer):
     (``spectral``):
 
     * direct: forward and dW contract im2col windows; dx is the
-      transposed convolution, summed one kernel tap at a time.
+      transposed convolution, summed one kernel tap at a time.  Backward
+      computes dW and dx of a batch chunk in the same pass over its
+      windows and writes the chunk's dx into one input-sized array.
     * spectral, for kernels long against the input width (see
       ``SPECTRAL_RATIO``): forward, dW and dx are products of width-axis
       rFFTs of length W.  A valid correlation of W samples never wraps,
@@ -102,7 +137,8 @@ class Conv2d(Layer):
       (N*Ho, kh*C) @ (kh*C, O).  dW is summed over chunks in the
       frequency domain and inverted once.
 
-    Both walk the batch in chunks under ``IM2COL_BYTES``.  With
+    Both walk the batch in chunks whose temporaries stay under
+    ``IM2COL_BYTES``.  Backward consumes the input cached by forward.  With
     ``input_grad=False`` (a layer fed by the network input) backward
     skips dx and returns ``None``.  The spectral path keeps the kernel
     spectra it built, per input width, with a copy of the ``W`` they came
@@ -143,15 +179,17 @@ class Conv2d(Layer):
         step = max(1, IM2COL_BYTES // per_sample)
         return [slice(lo, lo + step) for lo in range(0, n, step)]
 
-    def _windows(self, x: Array):
-        """Yield (batch slice, (n, C, Ho, Wo, kh, kw) window view) chunks."""
+    def _windows(self, x: Array, temps: int = 0):
+        """Yield (batch slice, (n, C, Ho, Wo, kh, kw) window view) chunks,
+        sized so that a chunk's window copy plus ``temps`` more float64
+        values per sample stay under ``IM2COL_BYTES``."""
         x = np.ascontiguousarray(x)
         n, c, h, w = x.shape
         shape = (n, c, h - self.kh + 1, w - self.kw + 1, self.kh, self.kw)
         # sliding_window_view's strided view, without its argument handling
         win = np.ndarray(shape, x.dtype, x, strides=x.strides + x.strides[2:])
         win.flags.writeable = False
-        for sl in self._chunks(n, math.prod(shape[1:]) * x.itemsize):
+        for sl in self._chunks(n, (math.prod(shape[1:]) + temps) * x.itemsize):
             yield sl, win[sl]
 
     def forward(self, x: Array, training: bool = False, rng=None) -> Array:
@@ -165,37 +203,50 @@ class Conv2d(Layer):
         if self.spectral(x.shape):
             return self._spectral_forward(x)
         n, _, h, w = x.shape
-        o = self.out_ch
-        y = np.empty((n, o, h - self.kh + 1, w - self.kw + 1))
+        o, ho, wo = self.out_ch, h - self.kh + 1, w - self.kw + 1
+        y = np.empty((n, o, ho, wo))
         # np.tensordot(win, W, axes=([1, 4, 5], [1, 2, 3])) spelled out, the
         # same copies and GEMM: (n*Ho*Wo, C*kh*kw) windows @ (C*kh*kw, O)
         wt = self.W.transpose(1, 2, 3, 0).reshape(-1, o)
         b = self.b[:, None, None]
-        for sl, win in self._windows(x):
-            m, _, ho, wo = win.shape[:4]
+        for sl, win in self._windows(x, temps=o * ho * wo):
             cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(-1, len(wt))
-            np.add(np.dot(cols, wt).reshape(m, ho, wo, o).transpose(0, 3, 1, 2), b, out=y[sl])
+            np.add(np.dot(cols, wt).reshape(len(win), ho, wo, o).transpose(0, 3, 1, 2), b, out=y[sl])
+            del cols  # before the next chunk copies its windows
         return y
 
     def backward(self, dy: Array) -> Array | None:
-        x = self._x
+        x = self._take("_x")
         self.db[...] = dy.sum(axis=(0, 2, 3))
         if self.spectral(x.shape):
             return self._spectral_backward(x, dy)
-        # dW[o,c,a,b] = sum_{n,i,j} dy[n,o,i,j] win[n,c,i,j,a,b]
-        self.dW[...] = sum(
-            np.tensordot(dy[sl], win, axes=([0, 2, 3], [0, 2, 3])) for sl, win in self._windows(x)
-        )
-        if not self.input_grad:
-            return None
-        # dx[n,c,i+a,j+b] += sum_o dy[n,o,i,j] W[o,c,a,b], one tap (a, b) at a time
-        n, o, ho, wo = dy.shape
-        dy_t = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(-1, o)
-        dx = np.zeros((n, x.shape[2], x.shape[3], self.in_ch))
-        for a in range(self.kh):
-            for b in range(self.kw):
-                dx[:, a : a + ho, b : b + wo, :] += (dy_t @ self.W[:, :, a, b]).reshape(n, ho, wo, -1)
-        return np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
+        _, c, h, w = x.shape
+        o, ho, wo = dy.shape[1:]
+        dW = np.zeros((o, c * self.kh * self.kw))
+        # per sample beside the windows: dy transposed, and for dx the NHWC
+        # chunk gradient and one tap's product
+        temps = o * ho * wo
+        if self.input_grad:
+            dx = np.empty_like(x)
+            temps += c * (h * w + ho * wo)
+        for sl, win in self._windows(x, temps):
+            m = len(win)
+            cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(-1, dW.shape[1])
+            dy_t = np.ascontiguousarray(dy[sl].transpose(0, 2, 3, 1)).reshape(-1, o)
+            # dW[o,c,a,b] = sum_{n,i,j} dy[n,o,i,j] win[n,c,i,j,a,b]
+            dW += dy_t.T @ cols
+            del cols
+            if self.input_grad:
+                # dx[n,c,i+a,j+b] += sum_o dy[n,o,i,j] W[o,c,a,b], one tap (a, b) at a time
+                dxc = np.zeros((m, h, w, c))
+                for a in range(self.kh):
+                    for b in range(self.kw):
+                        dxc[:, a : a + ho, b : b + wo] += (dy_t @ self.W[:, :, a, b]).reshape(m, ho, wo, c)
+                dx[sl] = dxc.transpose(0, 3, 1, 2)
+                del dxc
+            del dy_t  # this chunk's copies go before the next chunk makes its own
+        self.dW[...] = dW.reshape(self.dW.shape)
+        return dx if self.input_grad else None
 
     # -- spectral path: F = W//2 + 1 bins, spectra laid out (F, n, rows, ...) --
 
@@ -296,6 +347,7 @@ class MaxPool1x2(Layer):
     def __init__(self, name: str = "pool"):
         self.name = name
         self._first: Array | None = None
+        self._in_width: int | None = None
 
     def forward(self, x: Array, training: bool = False, rng=None) -> Array:
         w = x.shape[-1] - (x.shape[-1] % 2)
@@ -308,14 +360,15 @@ class MaxPool1x2(Layer):
         return np.maximum(b, a)
 
     def backward(self, dy: Array) -> Array:
-        dx = np.empty(dy.shape[:-1] + (self._in_width,))
-        w = self._in_width - (self._in_width % 2)
+        first, width = self._take("_first"), self._take("_in_width")
+        dx = np.empty(dy.shape[:-1] + (width,))
+        w = width - (width % 2)
         # on the bits, so every slot is exactly dy or +0.0: a pair's first
         # slot gets dy & mask, the mask all ones where the first element
         # won and zero elsewhere, and its second slot the rest, dy ^ that
         even = dx[..., 0:w:2].view(np.int64)
         bits = dy.view(np.int64)
-        np.subtract(0, self._first, out=even, dtype=np.int64)
+        np.subtract(0, first, out=even, dtype=np.int64)
         np.bitwise_and(even, bits, out=even)
         np.bitwise_xor(bits, even, out=dx[..., 1:w:2].view(np.int64))
         dx[..., w:] = 0.0
@@ -341,7 +394,7 @@ class LeakyReLU(Layer):
 
     def backward(self, dy: Array) -> Array:
         # y > 0 exactly where x > 0; dy times a slope of 1.0 or alpha
-        slope = np.array([self.alpha, 1.0]).take((self._y > 0).view(np.uint8))
+        slope = np.array([self.alpha, 1.0]).take((self._take("_y") > 0).view(np.uint8))
         return np.multiply(dy, slope, out=slope)
 
 
@@ -355,7 +408,13 @@ class Tanh(Layer):
         return self._y
 
     def backward(self, dy: Array) -> Array:
-        return dy * (1.0 - self._y * self._y)
+        y = self._take("_y")
+        return dy * (1.0 - y * y)
+
+
+#: Dropout's cache after a forward that dropped nothing (eval mode or
+#: p = 0): its backward passes dy through, once.
+_UNMASKED = object()
 
 
 class Dropout(Layer):
@@ -367,11 +426,11 @@ class Dropout(Layer):
             raise InvalidArgumentError(f"{name}: dropout p must be in [0, 1), got {p}")
         self.p = float(p)
         self.name = name
-        self._mask: Array | None = None
+        self._mask: Array | object | None = None
 
     def forward(self, x: Array, training: bool = False, rng=None) -> Array:
         if not training or self.p == 0.0:
-            self._mask = None
+            self._mask = _UNMASKED
             return x
         if rng is None:
             raise InvalidArgumentError(f"{self.name}: training-mode dropout needs an rng")
@@ -380,9 +439,8 @@ class Dropout(Layer):
         return x * self._mask
 
     def backward(self, dy: Array) -> Array:
-        if self._mask is None:
-            return dy
-        return dy * self._mask
+        mask = self._take("_mask")
+        return dy if mask is _UNMASKED else dy * mask
 
 
 class Linear(Layer):
@@ -407,7 +465,7 @@ class Linear(Layer):
         return x @ self.W.T + self.b
 
     def backward(self, dy: Array) -> Array:
-        self.dW[...] = dy.T @ self._x
+        self.dW[...] = dy.T @ self._take("_x")
         self.db[...] = dy.sum(axis=0)
         return dy @ self.W
 
@@ -422,7 +480,7 @@ class Flatten(Layer):
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dy: Array) -> Array:
-        return dy.reshape(self._shape)
+        return dy.reshape(self._take("_shape"))
 
 
 class AvgPool1d(Layer):

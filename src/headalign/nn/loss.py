@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from ..errors import InsufficientDataError
+from ..errors import InsufficientDataError, ShapeError
 
 __all__ = ["cmse_loss"]
 
@@ -18,10 +18,13 @@ def cmse_loss(
     err_i = atan2(sin(pred_i - target_i), cos(pred_i - target_i)),
     loss = scale * mean(err_i^2).  Returns (loss, dloss/dpred); the
     gradient is (2 * scale / N) * err_i, since the wrap is locally the
-    identity away from +-pi.
+    identity away from +-pi.  ``pred`` and ``target`` must have the same
+    shape; anything else raises ``ShapeError``, broadcasting included.
     """
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
+    if pred.shape != target.shape:
+        raise ShapeError(f"pred shape {pred.shape} does not match target shape {target.shape}")
     if pred.size == 0:
         raise InsufficientDataError("loss needs at least one prediction")
     d = pred - target

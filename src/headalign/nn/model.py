@@ -283,7 +283,9 @@ class HeadingModel:
         return z[:, 0]
 
     def backward(self, dpred: Array) -> None:
-        """Accumulate parameter gradients from dloss/dpred (N,)."""
+        """Accumulate parameter gradients from dloss/dpred (N,).  Each
+        layer's backward consumes its forward cache, so the activations of
+        the layers already passed are freed as the walk goes."""
         dy = dpred[:, None]
         dy = _run_back(self.fc, dy)
         dz = _run_back(self.trunk, dy)
@@ -332,13 +334,17 @@ def parameter_count(model: HeadingModel) -> int:
 
 
 def predict_heading(model: HeadingModel, x1: Array, x2: Array) -> float:
-    """Single-window inference; the output is wrapped to (-pi, pi]."""
+    """Single-window inference; the output is wrapped to (-pi, pi].  Each
+    input is one (1, rows, width) window, or a batch holding only it; a
+    batch of another size raises ``ShapeError``."""
     if model.training:
         raise HeadAlignError("model must be in eval mode for inference")
     if x1.ndim == 3:
         x1 = x1[None]
     if x2.ndim == 3:
         x2 = x2[None]
+    if x1.shape[:1] != (1,) or x2.shape[:1] != (1,):
+        raise ShapeError(f"inference takes one window, got inputs {x1.shape} and {x2.shape}")
     return float(wrap_angle(model.forward(x1, x2)[0]))
 
 

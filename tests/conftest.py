@@ -2,8 +2,13 @@
 
 Most tests build their own small inputs; the fixtures here only cover the
 handful of synthetic recordings that several files want in identical form.
+The helpers are imported by name (``from conftest import ...``).
 """
 from __future__ import annotations
+
+import tracemalloc
+from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +29,22 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 2] = -q[:, 2]
     return q
+
+
+@contextmanager
+def traced_memory():
+    """Trace allocations inside the block.  Yields a namespace whose
+    ``peak`` and ``live`` are set on leaving it: the most bytes traced at
+    once, and the bytes still traced, both above what was traced on entry."""
+    mem = SimpleNamespace(peak=0, live=0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        yield mem
+        live, peak = tracemalloc.get_traced_memory()
+        mem.live, mem.peak = live - base, peak - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

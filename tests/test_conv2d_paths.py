@@ -1,8 +1,8 @@
 """Conv2d's two paths against the single-copy formulas: the direct
 path's batch-chunked im2col and per-tap input gradient, and the
 spectral path's width-axis rFFT products; the ``input_grad=False``
-switch, which layers select the spectral path, and the memory bound at
-the stock batch.
+switch, which layers select the spectral path, and the memory of a
+training step at the stock batch.
 
 Tolerance: every output, dW and dx agrees with the reference within
 1e-12 relative to the reference's largest magnitude (measured drift on
@@ -11,14 +11,13 @@ spectral path).
 """
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import traced_memory
 from numpy.lib.stride_tricks import sliding_window_view
 
 from headalign.nn import layers
-from headalign.nn.layers import Conv2d
+from headalign.nn.layers import Conv2d, Dropout, Flatten, LeakyReLU, Linear, MaxPool1x2, Tanh
 from headalign.nn.model import build_headingnet, load_checkpoint, save_checkpoint
 from headalign.nn.optim import AdamW
 from headalign.rng import stream
@@ -97,6 +96,30 @@ def test_chunk_budget_is_per_copy_bytes():
     assert max(sizes) * per_sample <= layers.IM2COL_BYTES
 
 
+def test_direct_backward_walks_dw_and_dx_in_chunks_at_the_stock_budget(monkeypatch):
+    # HeadingNet10 conv2 at a batch that the budget splits at least in three
+    conv, rng = _conv(16, 32, (2, 7), seed=71)
+    x = rng.normal(size=(160, 16, 5, 20))
+    y = conv.forward(x)
+    dy = rng.normal(size=y.shape)
+    chunks = []
+    windows = Conv2d._windows
+
+    def counted(self, x, temps=0):
+        for sl, win in windows(self, x, temps):
+            chunks.append(sl)
+            yield sl, win
+
+    monkeypatch.setattr(Conv2d, "_windows", counted)
+    dx = conv.backward(dy)
+    assert len(chunks) >= 3
+    y_ref, dW_ref, dx_ref = reference_conv(conv, x, dy)
+    assert_close(y, y_ref)
+    assert_close(conv.dW, dW_ref)
+    assert_close(dx, dx_ref)
+    assert dx.flags.c_contiguous
+
+
 def test_without_input_grad_returns_none_and_same_parameter_grads():
     grads = []
     for input_grad in (True, False):
@@ -117,25 +140,55 @@ def test_only_the_branch_input_convs_skip_the_input_gradient():
     assert Conv2d(1, 1, (1, 1)).input_grad
 
 
-def test_stock_batch_headingnet120_step_memory():
-    """One batch-512 forward+backward of the longest variation; measured
-    peak 579 MiB with conv1 and conv2 on the spectral path, where one
-    unchunked conv2 im2col copy alone is 7.1 GB."""
-    model = build_headingnet(120, seed=0).train()
-    rng = np.random.default_rng(120)
+#: The forward caches of each layer class; backward consumes them.
+CACHES = {
+    Conv2d: ("_x",), Linear: ("_x",), LeakyReLU: ("_y",), Tanh: ("_y",),
+    MaxPool1x2: ("_first", "_in_width"), Dropout: ("_mask",), Flatten: ("_shape",),
+}
+
+
+def _stock_batch_step(t_align):
+    """One batch-512 forward+backward in training mode on random inputs:
+    the model after it and the traced memory above the inputs."""
+    model = build_headingnet(t_align, seed=0).train()
+    rng = np.random.default_rng(t_align)
     x1 = rng.normal(size=(512, 1, 6, model.config.input_width))
     x2 = rng.normal(size=x1.shape)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as mem:
         pred = model.forward(x1, x2, rng=stream(0, "dropout"))
         model.backward(np.ones_like(pred))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
     assert np.isfinite(pred).all()
     assert all(np.isfinite(g).all() for _, _, g in model.params())
-    assert peak < 2**30, f"peak {peak / 2**20:.0f} MiB"
+    return model, mem
+
+
+def test_stock_batch_headingnet10_step_memory():
+    """Measured peak 49.2 MiB (112.7 MiB while IM2COL_BYTES was 64 MiB,
+    dx was built over the whole batch and forward caches outlived the
+    step).  After the step no layer holds a forward cache, and nothing
+    the step allocated stays live but the prediction."""
+    model, mem = _stock_batch_step(10)
+    assert mem.peak < 80 * 2**20, f"peak {mem.peak / 2**20:.1f} MiB"
+    for layer in model.layers():
+        for attr in CACHES.get(type(layer), ()):
+            assert getattr(layer, attr) is None, f"{layer.name}.{attr}"
+    assert mem.live < 2**20, f"live {mem.live / 2**20:.1f} MiB"
+
+
+def test_stock_batch_headingnet30_step_memory():
+    """Measured peak 118.8 MiB (231.4 MiB with the 64 MiB budget,
+    whole-batch dx and caches outliving the step)."""
+    _, mem = _stock_batch_step(30)
+    assert mem.peak < 180 * 2**20, f"peak {mem.peak / 2**20:.1f} MiB"
+
+
+def test_stock_batch_headingnet120_step_memory():
+    """One batch-512 forward+backward of the longest variation; measured
+    peak 429 MiB (588 MiB with the 64 MiB budget and caches outliving the
+    step) with conv1 and conv2 on the spectral path, where one unchunked
+    conv2 im2col copy alone is 7.1 GB."""
+    _, mem = _stock_batch_step(120)
+    assert mem.peak < 2**30, f"peak {mem.peak / 2**20:.0f} MiB"
 
 
 # -- spectral path -----------------------------------------------------------

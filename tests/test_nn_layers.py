@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from headalign.errors import InvalidArgumentError, ShapeError
+from headalign.errors import ForwardCacheError, HeadAlignError, InvalidArgumentError, ShapeError
 from headalign.nn.layers import (
     AvgPool1d,
     Conv2d,
@@ -356,3 +356,54 @@ class TestFlattenAndAvgPool:
             avgpool_rate_match(np.zeros((2, 10)), 3)
         with pytest.raises(InvalidArgumentError):
             AvgPool1d(0)
+
+
+def _cache_cases():
+    """(layer, input shape, forward in training mode) for every layer class
+    that caches: both Conv2d paths, with and without the input gradient,
+    and Dropout in training mode, in eval mode and at p = 0."""
+    return [
+        (Conv2d(2, 3, (2, 3), name="direct"), (2, 2, 3, 6), False),
+        (Conv2d(2, 3, (2, 3), name="direct_no_dx", input_grad=False), (2, 2, 3, 6), False),
+        (Conv2d(2, 3, (1, 60), name="spectral"), (2, 2, 2, 120), False),
+        (MaxPool1x2(name="pool"), (2, 3, 2, 7), False),
+        (LeakyReLU(0.05, name="act"), (3, 4), False),
+        (Tanh(name="tanh"), (3, 4), False),
+        (Dropout(0.3, name="drop_train"), (5, 6), True),
+        (Dropout(0.3, name="drop_eval"), (5, 6), False),
+        (Dropout(0.0, name="drop_p0"), (5, 6), True),
+        (Linear(4, 3, name="fc"), (2, 4), False),
+        (Flatten(name="flatten"), (2, 3, 4), False),
+    ]
+
+
+class TestForwardCache:
+    """Backward consumes the cache its forward left, so a backward with no
+    forward before it raises a typed error naming the layer."""
+
+    @pytest.mark.parametrize("case", range(len(_cache_cases())))
+    def test_second_backward_raises(self, case):
+        layer, shape, training = _cache_cases()[case]
+        rng = np.random.default_rng(29)
+        with pytest.raises(ForwardCacheError, match=f"^{layer.name}: backward has no forward cache"):
+            layer.backward(np.ones(1))
+        y = layer.forward(rng.normal(size=shape), training=training, rng=stream(3, "drop"))
+        dy = rng.normal(size=y.shape)
+        layer.backward(dy)
+        with pytest.raises(ForwardCacheError, match=f"^{layer.name}: backward has no forward cache"):
+            layer.backward(dy)
+        # a new forward makes the next backward valid again
+        layer.forward(rng.normal(size=shape), training=training, rng=stream(3, "drop"))
+        layer.backward(dy)
+
+    def test_unmasked_dropout_passes_dy_through_once(self):
+        dy = np.arange(6.0).reshape(2, 3)
+        for drop, training in ((Dropout(0.3), False), (Dropout(0.0), True)):
+            drop.forward(np.ones((2, 3)), training=training, rng=stream(3, "drop"))
+            assert drop.backward(dy) is dy
+            with pytest.raises(ForwardCacheError):
+                drop.backward(dy)
+
+    def test_forward_cache_error_is_a_headalign_error(self):
+        assert issubclass(ForwardCacheError, HeadAlignError)
+        assert ForwardCacheError.code == "forward-cache"

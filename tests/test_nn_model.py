@@ -157,6 +157,17 @@ def test_predict_requires_eval_mode():
         predict_heading(model, x1, x2)
 
 
+def test_predict_rejects_a_batch_of_windows():
+    model = build_headingnet(10, seed=0).eval()
+    x1, x2 = _inputs(10, n=4)
+    with pytest.raises(ShapeError, match=r"one window, got inputs \(4, 1, 6, 50\)"):
+        predict_heading(model, x1, x2)
+    with pytest.raises(ShapeError, match="one window"):
+        predict_heading(model, x1[0], x2)
+    # one window, with or without its batch axis
+    assert predict_heading(model, x1[:1], x2[:1]) == predict_heading(model, x1[0], x2[0])
+
+
 def test_zeroed_final_layer_outputs_its_bias_wrapped():
     model = build_headingnet(10, seed=0).eval()
     last = model.fc[-1]

@@ -82,6 +82,15 @@ class TestCmseLoss:
         with pytest.raises(InsufficientDataError):
             cmse_loss(np.array([]), np.array([]))
 
+    def test_broadcasting_shapes_rejected(self):
+        # (3,) against (3, 1) would broadcast to a 3x3 gradient
+        with pytest.raises(ShapeError, match=r"\(3,\) does not match target shape \(3, 1\)"):
+            cmse_loss(np.zeros(3), np.zeros((3, 1)))
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ShapeError, match=r"\(3,\) does not match target shape \(2,\)"):
+            cmse_loss(np.zeros(3), np.zeros(2))
+
 
 class TestStepLR:
     def test_staircase_values(self):
