@@ -101,18 +101,18 @@ class HeadingEstimate:
         return cls(method, float(t_align), float(psi_hat), float(psi_gt), float(ae))
 
 
-def _unit(u: NDArray[np.float64], what: str) -> NDArray[np.float64]:
-    n = np.linalg.norm(u)
-    if n < 1e-12:
-        raise DegenerateGeometryError(f"zero observation vector in the {what}")
-    return u / n
-
-
 def nearest_rotation(M: ArrayLike, tol: float = 1e-12, max_iter: int = 100) -> NDArray[np.float64]:
     """Orthogonal polar factor of ``M`` by Newton iteration.
 
     For ``M`` close to a rotation this converges quadratically to the
     nearest rotation matrix (Frobenius sense).
+
+    Raises
+    ------
+    DegenerateGeometryError
+        If ``M`` is singular or reflecting, or if the iteration has not
+        converged after ``max_iter`` steps (``M`` too close to singular
+        for its polar factor to be found).
     """
     X = np.asarray(M, dtype=float).copy()
     if X.shape != (3, 3) or not np.all(np.isfinite(X)):
@@ -124,7 +124,15 @@ def nearest_rotation(M: ArrayLike, tol: float = 1e-12, max_iter: int = 100) -> N
         if np.max(np.abs(X_next - X)) < tol:
             return X_next
         X = X_next
-    return X
+    raise DegenerateGeometryError(
+        f"polar iteration did not converge in {max_iter} steps; matrix too close to singular"
+    )
+
+
+def _cross(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
+    return np.array(
+        [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+    )
 
 
 def dva_solve(
@@ -140,24 +148,29 @@ def dva_solve(
     Raises
     ------
     DegenerateGeometryError
-        If either pair is collinear within ``MIN_PAIR_ANGLE`` or the
-        stacked matrix is singular.
+        If an observation vector is zero, either pair is collinear within
+        ``MIN_PAIR_ANGLE`` or the stacked matrix is singular.
     """
-    n1 = _unit(np.asarray(u1_n0, dtype=float), "n0 pair")
-    n2 = _unit(np.asarray(u2_n0, dtype=float), "n0 pair")
-    b1 = _unit(np.asarray(u1_b0, dtype=float), "b0 pair")
-    b2 = _unit(np.asarray(u2_b0, dtype=float), "b0 pair")
+    u = np.array([u1_n0, u2_n0, u1_b0, u2_b0], dtype=float)
+    if u.shape != (4, 3):
+        raise InvalidArgumentError(f"dva_solve expects four 3-vectors, got shape {u.shape}")
+    # row-wise dot products: np.linalg.norm of each vector, to the bit
+    norm = np.sqrt(u[:, None, :] @ u[:, :, None]).ravel()
+    if np.any(norm < 1e-12):
+        side = "n0" if np.argmax(norm < 1e-12) < 2 else "b0"
+        raise DegenerateGeometryError(f"zero observation vector in the {side} pair")
+    n1, n2, b1, b2 = u / norm[:, None]
 
-    n_cross = np.cross(n1, n2)
-    b_cross = np.cross(b1, b2)
+    n_cross = _cross(n1, n2)
+    b_cross = _cross(b1, b2)
     sin_min = np.sin(MIN_PAIR_ANGLE)
     if np.linalg.norm(n_cross) <= sin_min:
         raise DegenerateGeometryError("n0 observation pair is collinear")
     if np.linalg.norm(b_cross) <= sin_min:
         raise DegenerateGeometryError("b0 observation pair is collinear")
 
-    A = np.vstack([n1, n2, n_cross])
-    B = np.vstack([b1, b2, b_cross])
+    A = np.array([n1, n2, n_cross])
+    B = np.array([b1, b2, b_cross])
     try:
         X = np.linalg.solve(A, B)
     except np.linalg.LinAlgError as exc:
@@ -262,7 +275,12 @@ def oba_solve(acc: WahbaAccumulator) -> tuple[NDArray[np.float64], NDArray[np.fl
     """Solve the accumulated quaternion least-squares problem.
 
     Returns the unit quaternion (scalar part >= 0) minimizing the
-    quadratic cost and the recovered ``C^{n0}_{b0}``.
+    quadratic cost and the recovered ``C^{n0}_{b0}``.  The quaternion is
+    the eigenvector of the smallest eigenvalue of the symmetrised ``K``
+    (the q-method; Markley & Mortari, J. Astronaut. Sci. 48, 2000),
+    found by LAPACK's ``np.linalg.eigh``.  :func:`jacobi_eigh` finds the
+    same eigenvector; the two agree to about eps * lambda_4 / gap, where
+    gap = lambda_2 - lambda_1 (see ``tests/test_aligners.py``).
 
     Raises
     ------
@@ -277,7 +295,7 @@ def oba_solve(acc: WahbaAccumulator) -> tuple[NDArray[np.float64], NDArray[np.fl
             f"need at least 2 accumulated pairs, got {acc.count}"
         )
     K = 0.5 * (acc.K + acc.K.T)
-    vals, vecs = jacobi_eigh(K)
+    vals, vecs = np.linalg.eigh(K)
     if vals[1] - vals[0] < EIGENVALUE_GAP:
         raise AmbiguousAttitudeError(
             f"two smallest eigenvalues within {vals[1] - vals[0]:.3e}; "

@@ -61,8 +61,10 @@ def rotvec_to_dcm(phi: ArrayLike) -> NDArray[np.float64]:
     """Rodrigues formula: rotation matrix of the rotation vector ``phi``.
 
     ``C = I + sin(a)/a [phi x] + (1-cos(a))/a^2 [phi x]^2`` with
-    ``a = ||phi||``.  Below ``SMALL_ANGLE`` both coefficients switch to
-    their 2nd-order Taylor expansions.  Broadcasts over leading axes.
+    ``a = ||phi||``, evaluated through ``[phi x]^2 = phi phi^T - a^2 I``
+    without a matrix product.  Below ``SMALL_ANGLE`` both coefficients
+    switch to their 2nd-order Taylor expansions.  Broadcasts over
+    leading axes.
 
     Parameters
     ----------
@@ -79,13 +81,24 @@ def rotvec_to_dcm(phi: ArrayLike) -> NDArray[np.float64]:
         raise InvalidArgumentError(
             f"rotation vectors must be finite with a last axis of 3, got shape {phi.shape}"
         )
-    a = np.linalg.norm(phi, axis=-1)
+    a2 = np.einsum("...i,...i->...", phi, phi)
+    a = np.sqrt(a2)
     small = a < SMALL_ANGLE
     safe = np.where(small, 1.0, a)
-    s = np.where(small, 1.0 - a * a / 6.0, np.sin(a) / safe)
-    c = np.where(small, 0.5 - a * a / 24.0, (1.0 - np.cos(a)) / (safe * safe))
-    px = skew(phi)
-    return np.eye(3) + s[..., None, None] * px + c[..., None, None] * (px @ px)
+    s = np.where(small, 1.0 - a2 / 6.0, np.sin(a) / safe)
+    c = np.where(small, 0.5 - a2 / 24.0, (1.0 - np.cos(a)) / (safe * safe))
+    # [phi x]^2 = phi phi^T - a^2 I, so C = (1 - c a^2) I + s [phi x] + c phi phi^T
+    C = (c[..., None] * phi)[..., :, None] * phi[..., None, :]
+    diag = np.einsum("...ii->...i", C)  # a writable view of the diagonals
+    diag += (1.0 - c * a2)[..., None]
+    x, y, z = np.moveaxis(s[..., None] * phi, -1, 0)
+    C[..., 2, 1] += x
+    C[..., 1, 2] -= x
+    C[..., 0, 2] += y
+    C[..., 2, 0] -= y
+    C[..., 1, 0] += z
+    C[..., 0, 1] -= z
+    return C
 
 
 def rotvec_to_quat(phi: ArrayLike) -> NDArray[np.float64]:

@@ -222,7 +222,8 @@ class Conv2d(Layer):
             return self._spectral_backward(x, dy)
         _, c, h, w = x.shape
         o, ho, wo = dy.shape[1:]
-        dW = np.zeros((o, c * self.kh * self.kw))
+        dW = self.dW.reshape(o, -1)  # a view: chunks accumulate in place
+        dW[...] = 0.0
         # per sample beside the windows: dy transposed, and for dx the NHWC
         # chunk gradient and one tap's product
         temps = o * ho * wo
@@ -245,7 +246,6 @@ class Conv2d(Layer):
                 dx[sl] = dxc.transpose(0, 3, 1, 2)
                 del dxc
             del dy_t  # this chunk's copies go before the next chunk makes its own
-        self.dW[...] = dW.reshape(self.dW.shape)
         return dx if self.input_grad else None
 
     # -- spectral path: F = W//2 + 1 bins, spectra laid out (F, n, rows, ...) --

@@ -5,7 +5,7 @@ The alignment decomposition tracks two time-varying frames from the
 start of the window: ``C^{b0}_b(t)`` integrated from gyro rates at the
 IMU rate, and ``C^{n0}_n(t)`` integrated from the Earth-rate model at
 the aiding rate.  Each track is the prefix product of its per-step
-rotations, built by a vectorised doubling scan.  Gravity-derived
+rotations, built by a vectorised two-level scan.  Gravity-derived
 observation vector pairs are then formed either by temporal integration
 or instantaneously.
 """
@@ -168,15 +168,63 @@ def gravity_nav(lat: ArrayLike) -> NDArray[np.float64]:
     return g
 
 
+#: Steps per block of :func:`_chain`'s two-level scan.  Chosen by timing
+#: block sizes 4, 8, 16, 32 and 64 on 2 vCPUs (numpy 2.4.6/OpenBLAS):
+#: 8 was fastest at every length from 600 to 12,000 steps, 0.18 ms at
+#: 1,000 and 2.2 ms at 12,000 against 0.33 and 5.4 ms for one doubling
+#: scan over the whole track.
+CHAIN_BLOCK = 8
+
+
+def _scan(a: NDArray[np.float64]) -> NDArray[np.float64]:
+    """In-place inclusive Hillis-Steele doubling scan of 3x3 products
+    along axis -3: ``a[..., k, :, :]`` becomes ``a[..., 0] @ ... @ a[..., k]``."""
+    k = 1
+    while k < a.shape[-3]:
+        a[..., k:, :, :] = a[..., :-k, :, :] @ a[..., k:, :, :]
+        k *= 2
+    return a
+
+
 def _chain(step_dcms: NDArray[np.float64]) -> NDArray[np.float64]:
     """Chain per-step rotations into the frame track ``out[k] = R_0 @ ... @ R_{k-1}``
-    (identity first) by a Hillis-Steele doubling scan: ceil(log2 n) batched matmuls."""
-    out = np.concatenate([np.eye(3)[None], step_dcms])
-    k = 1
-    while k < out.shape[0]:
-        out[k:] = out[:-k] @ out[k:]
-        k *= 2
-    return out
+    (identity first) by a two-level scan (Blelloch, CMU-CS-90-190).
+
+    The steps are padded with identities to whole blocks of
+    ``CHAIN_BLOCK`` = 8 steps, the size that timed fastest (see the
+    constant).  A doubling scan runs inside every block at once (3
+    batched matmuls over the track), a doubling scan of the block totals
+    gives each block's prefix, and one batched matmul applies it.  That
+    is 4 passes over the track instead of the ceil(log2 n) of one
+    doubling scan over all of it (10 at 1,000 steps); the products are
+    associated differently, which moves the track by rounding only
+    (within 1.1e-14 of a sequential product at 12,000 steps).
+    """
+    m = step_dcms.shape[0]
+    blocks = -(-m // CHAIN_BLOCK)
+    out = np.empty((1 + blocks * CHAIN_BLOCK, 3, 3))
+    out[0] = np.eye(3)
+    out[1 : 1 + m] = step_dcms
+    out[1 + m :] = np.eye(3)
+    tiles = _scan(out[1:].reshape(blocks, CHAIN_BLOCK, 3, 3))
+    if blocks > 1:
+        prefix = _scan(tiles[:-1, -1].copy())
+        tiles[1:] = prefix[:, None] @ tiles[1:]
+    return out[: m + 1]
+
+
+def _steps(t: NDArray[np.float64], what: str) -> NDArray[np.float64]:
+    """Time steps of ``t`` as a column, shape (n - 1, 1).  Raises
+    :class:`InvalidArgumentError` at the first step that is not positive."""
+    dt = np.diff(t)
+    bad = ~(dt > 0)  # NaN steps too
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise InvalidArgumentError(
+            f"{what} sample times must be strictly increasing: "
+            f"t[{k + 1}] = {float(t[k + 1])!r} follows t[{k}] = {float(t[k])!r}"
+        )
+    return dt[:, None]
 
 
 def integrate_body_frame(t: ArrayLike, omega: ArrayLike) -> NDArray[np.float64]:
@@ -201,7 +249,12 @@ def integrate_body_frame(t: ArrayLike, omega: ArrayLike) -> NDArray[np.float64]:
     omega = np.asarray(omega, dtype=float)
     if t.size < 2:
         raise InsufficientDataError("body-frame integration needs at least 2 samples")
-    dt = np.diff(t)[:, None]
+    if t.ndim != 1 or omega.shape != (t.size, 3):
+        raise InvalidArgumentError(
+            f"body-frame integration needs t of shape (n,) and omega of shape (n, 3), "
+            f"got t {t.shape} and omega {omega.shape}"
+        )
+    dt = _steps(t, "body-frame")
     dtheta = 0.5 * (omega[:-1] + omega[1:]) * dt
     dphi = dtheta.copy()
     dphi[1:] += np.cross(dtheta[:-1], dtheta[1:]) / 12.0
@@ -214,14 +267,21 @@ def integrate_nav_frame(
     """Integrate the Earth-rate model into the nav frame track ``C^{n0}_n(t_k)``.
 
     Same chaining scheme as the body side but driven by
-    ``earth_rate_nav(lat(t))`` and without a coning term.  ``omega`` is a
-    test hook: setting it to 0 yields identity tracks.
+    ``earth_rate_nav(lat(t))`` and without a coning term.  ``t`` is
+    strictly increasing and ``lat`` holds one latitude per sample.
+    ``omega`` is a test hook: setting it to 0 yields identity tracks.
     """
     t = np.asarray(t, dtype=float)
+    lat = np.asarray(lat, dtype=float)
     if t.size < 2:
         raise InsufficientDataError("nav-frame integration needs at least 2 samples")
+    if t.ndim != 1 or lat.shape != t.shape:
+        raise InvalidArgumentError(
+            f"nav-frame integration needs t and lat of one shape (n,), "
+            f"got t {t.shape} and lat {lat.shape}"
+        )
+    dt = _steps(t, "nav-frame")
     w = earth_rate_nav(lat, omega)
-    dt = np.diff(t)[:, None]
     dtheta = 0.5 * (w[:-1] + w[1:]) * dt
     return _chain(rotvec_to_dcm(dtheta))
 

@@ -7,6 +7,7 @@ import pytest
 
 from headalign.aligners import (
     AlignMethod,
+    AlignWindow,
     HeadingEstimate,
     WahbaAccumulator,
     align_heading,
@@ -17,13 +18,14 @@ from headalign.aligners import (
     oba_solve,
 )
 from headalign.aligners import _h_minus, _h_plus
-from headalign.attitude import euler_to_dcm, dcm_to_rotvec
+from headalign.attitude import dcm_to_rotvec, euler_to_dcm, quat_to_dcm
 from headalign.errors import (
     AmbiguousAttitudeError,
     DegenerateGeometryError,
     InsufficientDataError,
     InvalidArgumentError,
 )
+from headalign.simulate import DEFAULT_SENSORS, scenario_bank, simulate_recording
 from headalign.strapdown import integrate_body_frame, integrate_nav_frame
 
 from conftest import random_rotation
@@ -51,6 +53,12 @@ def make_pairs(rng, C_n0_b0, n_pairs):
     return u_n0, u_b0
 
 
+@pytest.fixture(scope="module")
+def bank_30s():
+    """The seed-42 scenarios at 30 s each, under DEFAULT_SENSORS."""
+    return [simulate_recording(cfg, DEFAULT_SENSORS) for cfg in scenario_bank(42, duration=30.0)]
+
+
 class TestNearestRotation:
     def test_fixed_point_on_exact_rotation(self):
         rng = np.random.default_rng(10)
@@ -76,6 +84,11 @@ class TestNearestRotation:
         M[0, 0] = np.nan
         with pytest.raises(InvalidArgumentError):
             nearest_rotation(M)
+
+    def test_unconverged_iteration_raises(self):
+        # the last iterate here is far from orthogonal: max|X^T X - I| ~ 6e19
+        with pytest.raises(DegenerateGeometryError, match="did not converge"):
+            nearest_rotation(np.diag([1.0, 1.0, 1e-40]))
 
 
 class TestDvaSolve:
@@ -180,6 +193,49 @@ class TestObaSolve:
             assert np.linalg.norm(C - R, ord="fro") < 1e-9
             assert q[0] >= 0.0
             assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-12)
+
+    @staticmethod
+    def _jacobi_path(acc):
+        """Reference solve by jacobi_eigh: the smallest eigenvector of the
+        symmetrised K, scalar part made non-negative."""
+        vals, vecs = jacobi_eigh(0.5 * (acc.K + acc.K.T))
+        q = vecs[:, 0]
+        return vals, (-q if q[0] < 0 else q)
+
+    def test_matches_jacobi_path_on_well_conditioned_k(self):
+        # noisy pairs in many directions: normalised gap (l2 - l1) / l4 >= 1e-3,
+        # where the two eigensolvers agree to 1e-12
+        rng = np.random.default_rng(20)
+        for n in (2, 5, 40, 600):
+            R = random_rotation(rng)
+            u_n0, u_b0 = make_pairs(rng, R, n)
+            acc = oba_accumulate(WahbaAccumulator(), u_n0, u_b0 + rng.normal(0.0, 0.01, (n, 3)))
+            vals, q_ref = self._jacobi_path(acc)
+            assert (vals[1] - vals[0]) / vals[3] >= 1e-3
+            q, C = oba_solve(acc)
+            np.testing.assert_allclose(q, q_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(C, quat_to_dcm(q_ref), rtol=0, atol=1e-12)
+
+    def test_matches_jacobi_path_within_conditioning_bound(self, bank_30s):
+        # under DEFAULT_SENSORS a 10-s window pins the attitude poorly: the
+        # normalised gap falls to about 1e-8, and two backward-stable
+        # eigensolvers may then differ by about eps * l4 / (l2 - l1) in the
+        # eigenvector.  Bound: 10x that (measured at most 0.86x here, with the
+        # smallest gap 1.4e-8).
+        eps = np.finfo(float).eps
+        smallest_gap = 1.0
+        for rec in bank_30s:
+            for k in range(3):
+                win = AlignWindow(rec.slice_window(10.0 * k, 10.0 * k + 10.0), 10.0)
+                for integrated in (True, False):
+                    obs = win.observations(integrated)
+                    acc = oba_accumulate(WahbaAccumulator(), obs.u_n0, obs.u_b0)
+                    vals, q_ref = self._jacobi_path(acc)
+                    gap = (vals[1] - vals[0]) / vals[3]
+                    smallest_gap = min(smallest_gap, gap)
+                    q, _ = oba_solve(acc)
+                    assert np.max(np.abs(q - q_ref)) <= 10.0 * eps / gap
+        assert smallest_gap < 1e-6  # the case this test is for
 
     def test_zero_pairs_are_skipped(self):
         acc = WahbaAccumulator()

@@ -250,6 +250,39 @@ def test_rotvec_to_dcm_batch_matches_row_loop():
     np.testing.assert_array_equal(rotvec_to_dcm(phi.reshape(3, 21, 3)), batch.reshape(3, 21, 3, 3))
 
 
+def _rodrigues_by_matmul(phi):
+    """The Rodrigues form that forms [phi x]^2 as skew(phi) @ skew(phi)."""
+    a = np.linalg.norm(phi, axis=-1)
+    small = a < SMALL_ANGLE
+    safe = np.where(small, 1.0, a)
+    s = np.where(small, 1.0 - a * a / 6.0, np.sin(a) / safe)
+    c = np.where(small, 0.5 - a * a / 24.0, (1.0 - np.cos(a)) / (safe * safe))
+    px = skew(phi)
+    return np.eye(3) + s[..., None, None] * px + c[..., None, None] * (px @ px)
+
+
+def test_rotvec_to_dcm_matches_matmul_form():
+    # [phi x]^2 = phi phi^T - |phi|^2 I rounds differently from the matmul;
+    # tolerance 20 eps absolute on entries of size <= 1, both Taylor and full
+    # branches (at most 2.4e-15, about 11 eps, over 10^5 random vectors of
+    # norm up to about 10, numpy 2.4 / OpenBLAS)
+    rng = np.random.default_rng(8)
+    phi = np.concatenate(
+        [
+            np.zeros((2, 3)),
+            rng.normal(size=(300, 3)) * 0.3 * SMALL_ANGLE,
+            rng.normal(size=(300, 3)) * 1e-3,
+            rng.normal(size=(300, 3)) * 1.5,
+        ]
+    )
+    np.testing.assert_allclose(
+        rotvec_to_dcm(phi), _rodrigues_by_matmul(phi), rtol=0, atol=20 * np.finfo(float).eps
+    )
+    np.testing.assert_allclose(
+        rotvec_to_dcm(phi[-1]), _rodrigues_by_matmul(phi[-1]), rtol=0, atol=20 * np.finfo(float).eps
+    )
+
+
 def test_rotvec_to_dcm_rejects_non_finite_or_misshapen_batches():
     phi = np.zeros((4, 3))
     phi[2, 1] = np.nan

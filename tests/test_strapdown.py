@@ -11,6 +11,7 @@ from headalign.errors import (
 )
 from headalign.simulate import DEFAULT_SENSORS, scenario_bank, simulate_recording, simulate_truth
 from headalign.strapdown import (
+    CHAIN_BLOCK,
     EARTH_RATE,
     AidData,
     ImuData,
@@ -21,6 +22,7 @@ from headalign.strapdown import (
     observation_instantaneous,
     observation_integrated,
 )
+from headalign.strapdown import _chain
 
 
 def test_earth_rate_components():
@@ -145,6 +147,27 @@ def test_integrate_body_frame_matches_sequential_chaining(n):
     assert worst < 1e-12  # measured 1.9e-14 at 12,000 samples
 
 
+@pytest.mark.parametrize(
+    "steps", [1, 2, CHAIN_BLOCK - 1, CHAIN_BLOCK, CHAIN_BLOCK + 1, CHAIN_BLOCK**2 + 3, 12000]
+)
+def test_chain_matches_sequential_product(steps):
+    # oracle: the left-to-right product, one step at a time.  The two-level
+    # scan associates the products differently, so the tracks differ by
+    # rounding only; 1e-13 absolute is about 450 eps on entries of size <= 1
+    # (measured 1.1e-14 at 12,000 steps, numpy 2.4 / OpenBLAS).
+    rng = np.random.default_rng(steps)
+    R = rotvec_to_dcm(rng.normal(0.0, 0.05, (steps, 3)))
+    track = _chain(R)
+    assert track.shape == (steps + 1, 3, 3)
+    np.testing.assert_array_equal(track[0], np.eye(3))
+    C = np.eye(3)
+    expected = [C]
+    for k in range(steps):
+        C = C @ R[k]
+        expected.append(C)
+    np.testing.assert_allclose(track, np.array(expected), rtol=0, atol=1e-13)
+
+
 def test_frame_tracks_stay_orthonormal_without_renormalisation():
     # 420 s of noisy gyro data at 100 Hz: the scan never re-orthonormalises,
     # so rounding in the products must stay far below the 1e-12 budget
@@ -160,6 +183,28 @@ def test_frame_tracks_stay_orthonormal_without_renormalisation():
 def test_integrate_body_frame_needs_two_samples():
     with pytest.raises(InsufficientDataError):
         integrate_body_frame([0.0], [[0.0, 0.0, 0.0]])
+
+
+def test_integrate_body_frame_rejects_misaligned_omega():
+    # three times and two rates used to broadcast into a 3-sample track
+    with pytest.raises(InvalidArgumentError, match=r"t \(3,\) and omega \(2, 3\)"):
+        integrate_body_frame([0.0, 0.01, 0.02], np.zeros((2, 3)))
+
+
+def test_integrate_nav_frame_rejects_misaligned_latitudes():
+    with pytest.raises(InvalidArgumentError, match=r"t \(3,\) and lat \(2,\)"):
+        integrate_nav_frame([0.0, 0.2, 0.4], np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "integrate, samples",
+    [(integrate_body_frame, np.zeros((3, 3))), (integrate_nav_frame, np.zeros(3))],
+)
+def test_frame_integrators_reject_non_increasing_times(integrate, samples):
+    with pytest.raises(InvalidArgumentError, match=r"t\[1\] = 0.0 follows t\[0\] = 0.0"):
+        integrate([0.0, 0.0, 1.0], samples)
+    with pytest.raises(InvalidArgumentError, match=r"t\[2\] = 0.5 follows t\[1\] = 1.0"):
+        integrate([0.0, 1.0, 0.5], samples)
 
 
 def test_integrate_nav_frame_closed_form_and_zero_hook():
