@@ -21,7 +21,7 @@ from .aligners import AlignMethod, align_heading
 from .errors import HeadAlignError, InvalidArgumentError
 from .harness import CLASSICAL_METHODS, EvalReport, check_eval_args, evaluate, nn_method_name
 from .nn.data import make_windows
-from .nn.model import build_headingnet, load_checkpoint, save_checkpoint
+from .nn.model import VARIATIONS, build_headingnet, load_checkpoint, save_checkpoint
 from .nn.train import default_train_config, train
 from .recording import read_recording, write_recording
 from .simulate import (
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=cmd_align)
 
     pt = sub.add_parser("train", parents=[common], help="train a neural variation")
-    pt.add_argument("--variation", type=int, required=True, choices=(10, 30, 60, 90, 120))
+    pt.add_argument("--variation", type=int, required=True, choices=list(VARIATIONS))
     pt.add_argument("--data", required=True, help="directory of recording subdirectories")
     pt.add_argument("--names", help="comma-separated recording names to use")
     pt.add_argument("--epochs", type=int)
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--data", required=True)
     pe.add_argument("--names", help="comma-separated recording names to use")
     pe.add_argument("--methods", default=",".join(CLASSICAL_METHODS))
-    pe.add_argument("--t-aligns", default="10,30,60,90,120")
+    pe.add_argument("--t-aligns", default=",".join(map(str, VARIATIONS)))
     pe.add_argument("--checkpoint", action="append", help="neural checkpoint (repeatable)")
     pe.set_defaults(func=cmd_evaluate)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 from numpy.typing import NDArray
@@ -41,22 +41,29 @@ Array = NDArray[np.float64]
 CHECKPOINT_MAGIC = b"HDGNET1\n"
 CHECKPOINT_VERSION = "1"
 
-#: Per-variation architecture: three branch conv kernels, whether the
-#: third conv stage pools, the fusion kernels (kernel5 may be None), and
-#: the leaky slope.  Keyed by alignment time in seconds.
+#: One row per variation, keyed by alignment time T in seconds; the only
+#: per-variation table.  Architecture (``HeadingNetConfig`` fields):
+#: k1/k2/k3 the (height, width) kernels of the three branch conv stages,
+#: pool3 whether the third branch stage pools, k4/k5 the fusion conv
+#: kernels (k5 None for a single fusion stage), leaky_alpha the LeakyReLU
+#: slope, dropout_p the probability of dropping an FC activation.  Stock
+#: training (``TrainConfig`` fields): epochs, loss_scale of the cyclic
+#: loss, AdamW lr and weight_decay, scheduler_step epochs per lr decay.
 VARIATIONS: dict[int, dict] = {
-    10: dict(k1=(2, 10), k2=(2, 7), k3=(2, 5), pool3=False, k4=(3, 3), k5=None, alpha=0.05),
-    30: dict(k1=(2, 30), k2=(2, 22), k3=(2, 15), pool3=False, k4=(2, 3), k5=(2, 3), alpha=0.05),
-    60: dict(k1=(2, 60), k2=(2, 45), k3=(2, 30), pool3=False, k4=(2, 6), k5=(2, 3), alpha=0.05),
-    90: dict(k1=(2, 90), k2=(2, 67), k3=(2, 45), pool3=True, k4=(2, 4), k5=(2, 3), alpha=0.1),
-    120: dict(k1=(2, 120), k2=(2, 90), k3=(2, 60), pool3=True, k4=(2, 5), k5=(2, 3), alpha=0.05),
+    10: dict(k1=(2, 10), k2=(2, 7), k3=(2, 5), pool3=False, k4=(3, 3), k5=None, leaky_alpha=0.05, dropout_p=0.2,
+             epochs=1000, loss_scale=10.0, lr=0.0009, weight_decay=0.08, scheduler_step=120),
+    30: dict(k1=(2, 30), k2=(2, 22), k3=(2, 15), pool3=False, k4=(2, 3), k5=(2, 3), leaky_alpha=0.05, dropout_p=0.2,
+             epochs=1000, loss_scale=10.0, lr=0.0008, weight_decay=0.08, scheduler_step=120),
+    60: dict(k1=(2, 60), k2=(2, 45), k3=(2, 30), pool3=False, k4=(2, 6), k5=(2, 3), leaky_alpha=0.05, dropout_p=0.2,
+             epochs=400, loss_scale=10.0, lr=0.0008, weight_decay=0.08, scheduler_step=80),
+    90: dict(k1=(2, 90), k2=(2, 67), k3=(2, 45), pool3=True, k4=(2, 4), k5=(2, 3), leaky_alpha=0.1, dropout_p=0.2,
+             epochs=500, loss_scale=100.0, lr=0.0005, weight_decay=0.8, scheduler_step=150),
+    120: dict(k1=(2, 120), k2=(2, 90), k3=(2, 60), pool3=True, k4=(2, 5), k5=(2, 3), leaky_alpha=0.05, dropout_p=0.3,
+              epochs=300, loss_scale=10.0, lr=0.0006, weight_decay=0.08, scheduler_step=50),
 }
 
 #: FC widths after the computed flatten size.
 FC_WIDTHS = (512, 128, 32, 1)
-
-#: Dropout keep setting per variation (probability of dropping).
-DROPOUT_P = {10: 0.2, 30: 0.2, 60: 0.2, 90: 0.2, 120: 0.3}
 
 #: IMU-to-aiding rate ratio handled by the input average pool.
 RATE_MATCH_K = 20
@@ -65,7 +72,7 @@ RATE_MATCH_K = 20
 NORM_KEYS = ("mean1", "std1", "mean2", "std2")
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeadingNetConfig:
     """Everything needed to rebuild a variation's architecture."""
 
@@ -75,72 +82,44 @@ class HeadingNetConfig:
     k3: tuple[int, int]
     pool3: bool
     k4: tuple[int, int]
-    k5: tuple[int, int] | None
     leaky_alpha: float
     dropout_p: float
+    k5: tuple[int, int] | None = None
     avgpool_k: int = RATE_MATCH_K
     input_rows: int = 6
-    input_width: int = field(init=False)
 
-    def __post_init__(self):
-        self.input_width = 5 * self.t_align
+    @property
+    def input_width(self) -> int:
+        return 5 * self.t_align
 
     def to_dict(self) -> dict:
-        return {
-            "t_align": self.t_align,
-            "k1": list(self.k1),
-            "k2": list(self.k2),
-            "k3": list(self.k3),
-            "pool3": self.pool3,
-            "k4": list(self.k4),
-            "k5": list(self.k5) if self.k5 else None,
-            "leaky_alpha": self.leaky_alpha,
-            "dropout_p": self.dropout_p,
-            "avgpool_k": self.avgpool_k,
-            "input_rows": self.input_rows,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "HeadingNetConfig":
-        """Inverse of ``to_dict``.  A field that is missing or not of its
-        type raises ``InvalidArgumentError`` naming it."""
+        """Inverse of ``to_dict``.  A field that is missing, unknown or not
+        of its type raises ``InvalidArgumentError`` naming it."""
         if not isinstance(d, dict):
             raise InvalidArgumentError(f"config must be an object, got {d!r}")
-        required = ("t_align", "k1", "k2", "k3", "pool3", "k4", "leaky_alpha", "dropout_p")
-        if missing := [name for name in required if name not in d]:
+        names = [f.name for f in fields(cls)]
+        if unknown := sorted(set(d) - set(names)):
+            raise InvalidArgumentError(f"unknown config field(s) {unknown}; expected {names}")
+        if missing := [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]:
             raise InvalidArgumentError(f"config lacks {', '.join(missing)}")
-        return cls(
-            t_align=_count("t_align", d["t_align"]),
-            k1=_kernel("k1", d["k1"]),
-            k2=_kernel("k2", d["k2"]),
-            k3=_kernel("k3", d["k3"]),
-            pool3=_field("pool3", d["pool3"], isinstance(d["pool3"], bool), "true or false"),
-            k4=_kernel("k4", d["k4"]),
-            k5=None if d.get("k5") is None else _kernel("k5", d["k5"]),
-            leaky_alpha=_real("leaky_alpha", d["leaky_alpha"]),
-            dropout_p=_real("dropout_p", d["dropout_p"]),
-            avgpool_k=_count("avgpool_k", d.get("avgpool_k", RATE_MATCH_K)),
-            input_rows=_count("input_rows", d.get("input_rows", 6)),
-        )
+        return cls(**{f.name: _CHECKS[f.type](f.name, d.get(f.name, f.default)) for f in fields(cls)})
 
     @classmethod
     def for_variation(cls, t_align: int) -> "HeadingNetConfig":
-        if t_align not in VARIATIONS:
-            raise InvalidArgumentError(
-                f"unknown variation {t_align}; expected one of {sorted(VARIATIONS)}"
-            )
-        v = VARIATIONS[t_align]
-        return cls(
-            t_align=t_align,
-            k1=v["k1"],
-            k2=v["k2"],
-            k3=v["k3"],
-            pool3=v["pool3"],
-            k4=v["k4"],
-            k5=v["k5"],
-            leaky_alpha=v["alpha"],
-            dropout_p=DROPOUT_P[t_align],
-        )
+        return cls(t_align=t_align, **variation_fields(t_align, cls))
+
+
+def variation_fields(t_align: int, cls) -> dict:
+    """The ``VARIATIONS`` row of ``t_align`` restricted to the fields of
+    the dataclass ``cls``; an unknown variation raises ``InvalidArgumentError``."""
+    if t_align not in VARIATIONS:
+        raise InvalidArgumentError(f"unknown variation {t_align}; expected one of {sorted(VARIATIONS)}")
+    row = VARIATIONS[t_align]
+    return {f.name: row[f.name] for f in fields(cls) if f.name in row}
 
 
 def _field(name: str, v, ok: bool, what: str):
@@ -154,10 +133,6 @@ def _is_count(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v > 0
 
 
-def _count(name: str, v) -> int:
-    return _field(name, v, _is_count(v), "a positive integer")
-
-
 def _kernel(name: str, v) -> tuple[int, int]:
     ok = isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_count, v))
     return tuple(_field(name, v, ok, "two positive integers"))
@@ -166,6 +141,16 @@ def _kernel(name: str, v) -> tuple[int, int]:
 def _real(name: str, v) -> float:
     ok = isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
     return float(_field(name, v, ok, "a finite number"))
+
+
+#: The check of each ``HeadingNetConfig`` field type, keyed by its annotation.
+_CHECKS = {
+    "int": lambda name, v: _field(name, v, _is_count(v), "a positive integer"),
+    "bool": lambda name, v: _field(name, v, isinstance(v, bool), "true or false"),
+    "float": _real,
+    "tuple[int, int]": _kernel,
+    "tuple[int, int] | None": lambda name, v: None if v is None else _kernel(name, v),
+}
 
 
 def _branch_layers(cfg: HeadingNetConfig, tag: str) -> list[Layer]:
@@ -186,9 +171,11 @@ def _branch_layers(cfg: HeadingNetConfig, tag: str) -> list[Layer]:
     return layers
 
 
-def _run(layers: list[Layer], x: Array, training: bool, rng) -> Array:
+def _run(layers: list[Layer], x: Array, training: bool, rng, probe=None) -> Array:
     for layer in layers:
         x = layer.forward(x, training=training, rng=rng)
+        if probe is not None:
+            probe(layer, x)
     return x
 
 
@@ -196,6 +183,10 @@ def _run_back(layers: list[Layer], dy: Array) -> Array:
     for layer in reversed(layers):
         dy = layer.backward(dy)
     return dy
+
+
+class _NonFinite(Exception):
+    """Stops a ``check_finite`` walk at the first layer whose output is non-finite."""
 
 
 class HeadingModel:
@@ -214,14 +205,13 @@ class HeadingModel:
         self.trunk = trunk
 
         self.flatten_size = self._probe_flatten()
-        p = config.dropout_p
         fc: list[Layer] = []
         widths = (self.flatten_size,) + FC_WIDTHS
         for i, (nin, nout) in enumerate(zip(widths[:-1], widths[1:]), start=1):
             fc.append(Linear(nin, nout, name=f"fc{i}"))
             if i < len(FC_WIDTHS):
                 fc.append(Tanh(name=f"fc{i}.tanh"))
-                fc.append(Dropout(p, name=f"fc{i}.dropout"))
+                fc.append(Dropout(config.dropout_p, name=f"fc{i}.dropout"))
         self.fc = fc
 
         self.training = False
@@ -245,10 +235,7 @@ class HeadingModel:
         return self.branch1 + self.branch2 + self.trunk + self.fc
 
     def params(self) -> list[tuple[str, Array, Array]]:
-        out = []
-        for layer in self.layers():
-            out.extend(layer.params())
-        return out
+        return [p for layer in self.layers() for p in layer.params()]
 
     def train(self) -> "HeadingModel":
         self.training = True
@@ -267,6 +254,11 @@ class HeadingModel:
 
     def forward(self, x1: Array, x2: Array, rng=None) -> Array:
         """Window batch (N, 1, rows, width) x2 -> heading estimates (N,)."""
+        return self._walk(x1, x2, self.training, rng)
+
+    def _walk(self, x1: Array, x2: Array, training: bool, rng, probe=None) -> Array:
+        """``forward`` in the given mode; ``probe(layer, y)``, if given, sees
+        each layer's output ``y`` as the walk goes."""
         cfg = self.config
         want = (1, cfg.input_rows, cfg.input_width)
         if x1.ndim != 4 or x1.shape[1:] != want or x2.shape != x1.shape:
@@ -274,12 +266,12 @@ class HeadingModel:
                 f"expected two (N, 1, {cfg.input_rows}, {cfg.input_width}) inputs, "
                 f"got {x1.shape} and {x2.shape}"
             )
-        h1 = _run(self.branch1, self._normalize(x1, "1"), self.training, rng)
-        h2 = _run(self.branch2, self._normalize(x2, "2"), self.training, rng)
+        h1 = _run(self.branch1, self._normalize(x1, "1"), training, rng, probe)
+        h2 = _run(self.branch2, self._normalize(x2, "2"), training, rng, probe)
         self._h_rows = h1.shape[2]
         z = np.concatenate([h1, h2], axis=2)
-        z = _run(self.trunk, z, self.training, rng)
-        z = _run(self.fc, z, self.training, rng)
+        z = _run(self.trunk, z, training, rng, probe)
+        z = _run(self.fc, z, training, rng, probe)
         return z[:, 0]
 
     def backward(self, dpred: Array) -> None:
@@ -293,23 +285,17 @@ class HeadingModel:
         _run_back(self.branch2, dz[:, :, self._h_rows :, :])
 
     def check_finite(self, x1: Array, x2: Array) -> str | None:
-        """Name the first layer whose output is non-finite, else None."""
-        x = self._normalize(x1, "1")
-        for layer in self.branch1:
-            x = layer.forward(x, training=False)
-            if not np.all(np.isfinite(x)):
-                return layer.name
-        h1 = x
-        x = self._normalize(x2, "2")
-        for layer in self.branch2:
-            x = layer.forward(x, training=False)
-            if not np.all(np.isfinite(x)):
-                return layer.name
-        x = np.concatenate([h1, x], axis=2)
-        for layer in self.trunk + self.fc:
-            x = layer.forward(x, training=False)
-            if not np.all(np.isfinite(x)):
-                return layer.name
+        """Name the first layer whose output is non-finite, else None.  The
+        walk runs in eval mode (no dropout); ``training`` is left as it was."""
+
+        def probe(layer: Layer, y: Array) -> None:
+            if not np.isfinite(y).all():
+                raise _NonFinite(layer.name)
+
+        try:
+            self._walk(x1, x2, False, None, probe)
+        except _NonFinite as exc:
+            return exc.args[0]
         return None
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,20 +11,10 @@ from ..rng import stream
 from ..simulate import _number
 from .data import WindowSet
 from .loss import cmse_loss
-from .model import HeadingModel
+from .model import HeadingModel, variation_fields
 from .optim import AdamW, steplr
 
 __all__ = ["TrainConfig", "default_train_config", "train"]
-
-#: Per-variation training hyperparameters:
-#: (epochs, loss_scale, lr, weight_decay, scheduler_step).
-_DEFAULTS = {
-    10: (1000, 10.0, 0.0009, 0.08, 120),
-    30: (1000, 10.0, 0.0008, 0.08, 120),
-    60: (400, 10.0, 0.0008, 0.08, 80),
-    90: (500, 100.0, 0.0005, 0.8, 150),
-    120: (300, 10.0, 0.0006, 0.08, 50),
-}
 
 
 @dataclass
@@ -41,6 +31,9 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
+        for name in ("epochs", "batch", "scheduler_step"):
+            if isinstance(v := getattr(self, name), bool) or not isinstance(v, (int, np.integer)):
+                raise InvalidArgumentError(f"{name} must be an integer, got {v!r}")
         if self.epochs < 0 or self.batch < 1 or self.scheduler_step < 1:
             raise InvalidArgumentError("epochs must be >= 0, batch >= 1 and scheduler_step >= 1")
         beta1, beta2 = self.betas
@@ -58,16 +51,9 @@ class TrainConfig:
 
 
 def default_train_config(t_align: int, seed: int, **overrides) -> TrainConfig:
-    """Stock hyperparameters for a variation; keyword overrides win."""
-    if t_align not in _DEFAULTS:
-        raise InvalidArgumentError(f"no training defaults for variation {t_align}")
-    epochs, scale, lr, wd, step = _DEFAULTS[t_align]
-    kwargs = dict(
-        epochs=epochs, loss_scale=scale, lr=lr, weight_decay=wd,
-        scheduler_step=step, seed=seed,
-    )
-    kwargs.update(overrides)
-    return TrainConfig(**kwargs)
+    """Stock hyperparameters of a variation (its ``VARIATIONS`` row);
+    keyword overrides win."""
+    return TrainConfig(**(variation_fields(t_align, TrainConfig) | {"seed": seed} | overrides))
 
 
 def train(

@@ -18,9 +18,11 @@ from headalign.nn.model import (
     predict_heading,
     save_checkpoint,
 )
+from headalign.nn.train import default_train_config
 from headalign.rng import stream
 
 GOLDEN = json.load(open(os.path.join(os.path.dirname(__file__), "data", "param_counts.json")))
+VARIATION_GOLDEN = json.load(open(os.path.join(os.path.dirname(__file__), "data", "variations.json")))
 
 
 def arithmetic_param_count(t_align: int) -> tuple[int, int]:
@@ -69,6 +71,15 @@ def test_parameter_count_matches_goldens(t_align):
 def test_unknown_variation_rejected():
     with pytest.raises(InvalidArgumentError):
         HeadingNetConfig.for_variation(45)
+
+
+@pytest.mark.parametrize("t_align", [10, 30, 60, 90, 120])
+def test_variation_table_matches_goldens(t_align):
+    """Architecture and stock training fields of each variation, pinned."""
+    golden = VARIATION_GOLDEN[str(t_align)]
+    assert json.loads(json.dumps(HeadingNetConfig.for_variation(t_align).to_dict())) == golden["config"]
+    cfg = default_train_config(t_align, seed=0)
+    assert {k: getattr(cfg, k) for k in golden["train"]} == golden["train"]
 
 
 def test_config_round_trip():
@@ -180,12 +191,16 @@ def test_zeroed_final_layer_outputs_its_bias_wrapped():
     assert a == b == pytest.approx(float(np.arctan2(np.sin(10.0), np.cos(10.0))), abs=1e-12)
 
 
-def test_check_finite_names_first_bad_layer():
+@pytest.mark.parametrize("layer", ["b1.conv2", "b2.conv1", "fuse.conv4", "fc2"])
+@pytest.mark.parametrize("training", [False, True])
+def test_check_finite_names_first_bad_layer(layer, training):
     model = build_headingnet(10, seed=0)
+    model.training = training
     x1, x2 = _inputs(10, n=1)
     assert model.check_finite(x1, x2) is None
-    model.branch1[3].W[0, 0, 0, 0] = np.nan  # b1.conv2
-    assert model.check_finite(x1, x2) == "b1.conv2"
+    next(l for l in model.layers() if l.name == layer).W.flat[0] = np.nan
+    assert model.check_finite(x1, x2) == layer
+    assert model.training is training
 
 
 class TestCheckpoint:
@@ -311,6 +326,8 @@ class TestCheckpoint:
                      "config field k1 must be two positive integers, got 'ab'", id="k1_string"),
         pytest.param(lambda h: h["config"].update(leaky_alpha="x"),
                      "config field leaky_alpha must be a finite number, got 'x'", id="alpha_string"),
+        pytest.param(lambda h: h["config"].update(input_width=7, k6=[1, 1]),
+                     "unknown config field(s) ['input_width', 'k6']", id="config_unknown_fields"),
         pytest.param(lambda h: h.update(norm=list(h["norm"].values())),
                      "norm must be an object with keys mean1, std1, mean2, std2, got list", id="norm_list"),
         pytest.param(lambda h: h.update(manifest=5), "manifest must be a list, got int", id="manifest_int"),

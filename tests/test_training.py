@@ -245,6 +245,14 @@ class TestTrainLoop:
         ("eps", 0.0, "eps must be > 0, got 0.0"),
         ("eps", "tiny", "eps must be a number, got 'tiny'"),
         ("scheduler_step", 0, "epochs must be >= 0, batch >= 1 and scheduler_step >= 1"),
+        ("epochs", 1.5, "epochs must be an integer, got 1.5"),
+        ("epochs", float("nan"), "epochs must be an integer, got nan"),
+        ("epochs", float("inf"), "epochs must be an integer, got inf"),
+        ("epochs", "3", "epochs must be an integer, got '3'"),
+        ("epochs", True, "epochs must be an integer, got True"),
+        ("batch", 2.5, "batch must be an integer, got 2.5"),
+        ("batch", False, "batch must be an integer, got False"),
+        ("scheduler_step", 1.5, "scheduler_step must be an integer, got 1.5"),
     ])
     def test_config_rejects_out_of_range_field(self, field, value, message):
         with pytest.raises(InvalidArgumentError) as exc:
