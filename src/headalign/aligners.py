@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -135,25 +136,17 @@ def _cross(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64
     )
 
 
-def dva_solve(
+def _dva_raw_solve(
     u1_n0: ArrayLike, u2_n0: ArrayLike, u1_b0: ArrayLike, u2_b0: ArrayLike
 ) -> NDArray[np.float64]:
-    """Closed-form ``C^{n0}_{b0}`` from two non-collinear vector pairs.
-
-    Stacks the unit observation vectors and their cross product in each
-    frame and solves the resulting linear system, then snaps the output
-    to the nearest rotation (the raw solution is not exactly orthogonal
-    for noisy inputs).
-
-    Raises
-    ------
-    DegenerateGeometryError
-        If an observation vector is zero, either pair is collinear within
-        ``MIN_PAIR_ANGLE`` or the stacked matrix is singular.
-    """
+    """:func:`dva_solve`'s checks and linear solve, before the snap to a
+    rotation."""
     u = np.array([u1_n0, u2_n0, u1_b0, u2_b0], dtype=float)
     if u.shape != (4, 3):
         raise InvalidArgumentError(f"dva_solve expects four 3-vectors, got shape {u.shape}")
+    if not np.isfinite(u).all():
+        name = ("u1_n0", "u2_n0", "u1_b0", "u2_b0")[int(np.argmin(np.isfinite(u).all(axis=1)))]
+        raise InvalidArgumentError(f"dva_solve: {name} is not finite")
     # row-wise dot products: np.linalg.norm of each vector, to the bit
     norm = np.sqrt(u[:, None, :] @ u[:, :, None]).ravel()
     if np.any(norm < 1e-12):
@@ -172,10 +165,41 @@ def dva_solve(
     A = np.array([n1, n2, n_cross])
     B = np.array([b1, b2, b_cross])
     try:
-        X = np.linalg.solve(A, B)
+        return np.linalg.solve(A, B)
     except np.linalg.LinAlgError as exc:
         raise DegenerateGeometryError(f"stacked n0 matrix is singular: {exc}") from exc
-    return nearest_rotation(X)
+
+
+def dva_solve(
+    u1_n0: ArrayLike, u2_n0: ArrayLike, u1_b0: ArrayLike, u2_b0: ArrayLike
+) -> NDArray[np.float64]:
+    """Closed-form ``C^{n0}_{b0}`` from two non-collinear vector pairs.
+
+    Stacks the unit observation vectors and their cross product in each
+    frame and solves the resulting linear system, then snaps the output
+    to the nearest rotation (the raw solution is not exactly orthogonal
+    for noisy inputs).  The snap is the orthogonal polar factor ``U V^T``
+    of the raw solution's SVD (Higham, SIAM J. Sci. Stat. Comput. 7(4),
+    1986); :func:`nearest_rotation` finds the same factor by Newton
+    iteration, and the two agree to 1e-13 (see ``tests/test_aligners.py``).
+
+    Raises
+    ------
+    InvalidArgumentError
+        If the inputs are not four 3-vectors or one holds a NaN or an
+        infinity.
+    DegenerateGeometryError
+        If an observation vector is zero, either pair is collinear within
+        ``MIN_PAIR_ANGLE`` or the stacked matrix is singular.
+    """
+    X = _dva_raw_solve(u1_n0, u2_n0, u1_b0, u2_b0)
+    if np.linalg.det(X) <= 0:
+        raise DegenerateGeometryError("matrix is singular or reflecting; no nearby rotation")
+    try:
+        U, _, Vt = np.linalg.svd(X)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateGeometryError(f"no polar factor of the raw solution: {exc}") from exc
+    return U @ Vt
 
 
 def _h_plus(u: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -193,6 +217,15 @@ def _h_minus(u: NDArray[np.float64]) -> NDArray[np.float64]:
     H = _h_plus(u)
     H[..., 1:, 1:] *= -1.0
     return H
+
+
+#: ``_WAHBA_E[3 i + j] = _h_plus(e_i) @ _h_minus(e_j)``, flattened to (9, 16).
+#: For unit ``n`` and ``b``, ``B = _h_plus(n) - _h_minus(b)`` has
+#: ``B^T B = 2 I + 2 _h_plus(n) _h_minus(b)``: both factors are antisymmetric,
+#: orthogonal up to the vector norm, and commute.  The pair's cost is thus
+#: linear in ``n b^T``, and a batch's ``K`` follows from the 3x3
+#: attitude-profile matrix ``P = sum n b^T`` (Davenport's q-method).
+_WAHBA_E = (_h_plus(np.eye(3))[:, None] @ _h_minus(np.eye(3))[None, :]).reshape(9, 16)
 
 
 @dataclass
@@ -220,15 +253,18 @@ def oba_accumulate(
         raise InvalidArgumentError(
             f"pairs must share shape (3,) or (n, 3), got {u_n0.shape} and {u_b0.shape}"
         )
-    u = np.stack([u_n0, u_b0]).reshape(2, -1, 3)
-    require_finite("observation", u_n0=u[0], u_b0=u[1])
-    norm = np.linalg.norm(u, axis=-1, keepdims=True)
-    keep = ~np.any(norm < 1e-12, axis=(0, 2))
-    n0, b0 = u[:, keep] / norm[:, keep]
-    B = _h_plus(n0) - _h_minus(b0)
-    acc.K += np.einsum("kji,kjl->il", B, B)
-    acc.count += int(np.count_nonzero(keep))
-    acc.skipped += int(np.count_nonzero(~keep))
+    n0, b0 = u_n0.reshape(-1, 3), u_b0.reshape(-1, 3)
+    require_finite("observation", u_n0=n0, u_b0=b0)
+    norm_n = np.sqrt((n0 * n0).sum(axis=1))
+    norm_b = np.sqrt((b0 * b0).sum(axis=1))
+    keep = (norm_n >= 1e-12) & (norm_b >= 1e-12)
+    # P = sum of n b^T / (|n| |b|) over the kept pairs: weight 0 skips a pair
+    w = np.divide(1.0, norm_n * norm_b, out=np.zeros_like(norm_n), where=keep)
+    P = (n0 * w[:, None]).T @ b0
+    count = int(np.count_nonzero(keep))
+    acc.K += 2.0 * count * np.eye(4) + 2.0 * (P.reshape(9) @ _WAHBA_E).reshape(4, 4)
+    acc.count += count
+    acc.skipped += keep.size - count
     return acc
 
 
@@ -287,9 +323,15 @@ def oba_solve(acc: WahbaAccumulator) -> tuple[NDArray[np.float64], NDArray[np.fl
     AmbiguousAttitudeError
         If the two smallest eigenvalues are separated by less than
         ``EIGENVALUE_GAP`` (the geometry leaves a rotation free).
+    InvalidArgumentError
+        If ``acc.K`` is not a finite 4x4 array.
     InsufficientDataError
         If fewer than two pairs were accumulated.
     """
+    if np.shape(acc.K) != (4, 4) or not np.isfinite(acc.K).all():
+        raise InvalidArgumentError(
+            f"accumulator K must be a finite 4x4 array, got shape {np.shape(acc.K)}"
+        )
     if acc.count < 2:
         raise InsufficientDataError(
             f"need at least 2 accumulated pairs, got {acc.count}"
@@ -402,13 +444,34 @@ def align_heading(
     estimate and its ground truth are taken at the last aiding sample
     inside the window.
 
+    ``dva_fractions`` places the two dual-vector instants as fractions
+    of the observation span; the dual-vector methods use them, and every
+    method checks them.
+
     Raises
     ------
     InvalidArgumentError
-        If ``rec`` is an :class:`AlignWindow` cut at another ``t_align``.
+        If ``method`` names no :class:`AlignMethod`, ``dva_fractions`` is
+        not two finite numbers with ``0 <= f1 < f2 <= 1``, or ``rec`` is
+        an :class:`AlignWindow` cut at another ``t_align``.
     """
     if not isinstance(method, AlignMethod):
-        method = AlignMethod(method)
+        try:
+            method = AlignMethod(method)
+        except ValueError:
+            names = ", ".join(m.value for m in AlignMethod)
+            raise InvalidArgumentError(
+                f"unknown method {method!r}; expected one of {names}"
+            ) from None
+    try:
+        f1, f2 = dva_fractions
+        ok = isinstance(f1, Real) and isinstance(f2, Real) and 0.0 <= f1 < f2 <= 1.0
+    except (TypeError, ValueError):  # not a pair
+        ok = False
+    if not ok:  # a NaN fails every comparison
+        raise InvalidArgumentError(
+            f"dva_fractions must be two numbers with 0 <= f1 < f2 <= 1, got {dva_fractions!r}"
+        )
     win = rec if isinstance(rec, AlignWindow) else AlignWindow(rec, t_align)
     if win.t_align != t_align:
         raise InvalidArgumentError(

@@ -16,6 +16,8 @@ one, i.e. it equals the Rodrigues rotation matrix of ``phi``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
@@ -135,23 +137,30 @@ def quat_to_dcm(q: ArrayLike) -> NDArray[np.float64]:
     """Rotation matrix of a unit quaternion ``[s, x, y, z]``.
 
     Uses the standard mapping ``C = (s^2 - |n|^2) I + 2 n n^T + 2 s [n x]``
-    so that ``quat_to_dcm(rotvec_to_quat(phi)) == rotvec_to_dcm(phi)``.
+    so that ``quat_to_dcm(rotvec_to_quat(phi)) == rotvec_to_dcm(phi)``,
+    written out entry by entry from the four components.
 
     Raises
     ------
     InvalidArgumentError
-        If the quaternion norm deviates from 1 by more than 1e-6.
+        If the quaternion does not have 4 components or its norm is not
+        within 1e-6 of 1 (a NaN or an infinity included).
     """
     q = np.asarray(q, dtype=float)
     if q.shape != (4,):
         raise InvalidArgumentError(f"quaternion must have 4 components, got shape {q.shape}")
-    n = np.linalg.norm(q)
-    if abs(n - 1.0) > 1e-6:
+    n = math.sqrt(q.dot(q))  # np.linalg.norm(q), to the bit
+    if not abs(n - 1.0) <= 1e-6:  # False for NaN as well
         raise InvalidArgumentError(f"quaternion norm {n!r} deviates from 1 by more than 1e-6")
-    q = q / n
-    s, e = q[0], q[1:]
-    ex = skew(e)
-    return (s * s - e @ e) * np.eye(3) + 2.0 * np.outer(e, e) + 2.0 * s * ex
+    s, x, y, z = (q / n).tolist()
+    d = s * s - (x * x + y * y + z * z)
+    return np.array(
+        [
+            [d + 2.0 * x * x, 2.0 * (x * y - s * z), 2.0 * (x * z + s * y)],
+            [2.0 * (x * y + s * z), d + 2.0 * y * y, 2.0 * (y * z - s * x)],
+            [2.0 * (x * z - s * y), 2.0 * (y * z + s * x), d + 2.0 * z * z],
+        ]
+    )
 
 
 def dcm_to_quat(C: ArrayLike) -> NDArray[np.float64]:
@@ -228,10 +237,16 @@ def dcm_to_heading(C: ArrayLike) -> float:
 
     Raises
     ------
+    InvalidArgumentError
+        If ``C`` is not a finite 3x3 matrix.
     DegenerateAttitudeError
         If the attitude is within ~1e-9 of the gimbal singularity.
     """
     C = np.asarray(C, dtype=float)
+    if C.shape != (3, 3) or not np.isfinite(C).all():
+        raise InvalidArgumentError(
+            f"dcm_to_heading expects a finite 3x3 matrix, got shape {C.shape}"
+        )
     if abs(C[2, 0]) > 1.0 - 1e-9:
         raise DegenerateAttitudeError(
             f"pitch magnitude too close to 90 deg (|c31| = {abs(C[2, 0])!r})"

@@ -17,7 +17,7 @@ from headalign.aligners import (
     oba_accumulate,
     oba_solve,
 )
-from headalign.aligners import _h_minus, _h_plus
+from headalign.aligners import _dva_indices, _dva_raw_solve, _h_minus, _h_plus
 from headalign.attitude import dcm_to_rotvec, euler_to_dcm, quat_to_dcm
 from headalign.errors import (
     AmbiguousAttitudeError,
@@ -57,6 +57,15 @@ def make_pairs(rng, C_n0_b0, n_pairs):
 def bank_30s():
     """The seed-42 scenarios at 30 s each, under DEFAULT_SENSORS."""
     return [simulate_recording(cfg, DEFAULT_SENSORS) for cfg in scenario_bank(42, duration=30.0)]
+
+
+def bank_windows(bank):
+    """The first three 10-s windows of each recording of the bank."""
+    return [
+        AlignWindow(rec.slice_window(10.0 * k, 10.0 * k + 10.0), 10.0)
+        for rec in bank
+        for k in range(3)
+    ]
 
 
 class TestNearestRotation:
@@ -126,6 +135,44 @@ class TestDvaSolve:
         v = np.array([1.0, 0.0, 0.0])
         with pytest.raises(DegenerateGeometryError):
             dva_solve(u, np.zeros(3), u, v)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slot, name", enumerate(["u1_n0", "u2_n0", "u1_b0", "u2_b0"]))
+    def test_non_finite_vector_raises(self, slot, name, bad):
+        u = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        u[slot] = [bad, 0.0, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may escape first
+            with pytest.raises(InvalidArgumentError, match=f"{name} is not finite"):
+                dva_solve(*u)
+
+    def test_matches_newton_polar_factor(self, bank_30s):
+        # reference: nearest_rotation's Newton iteration on the same raw
+        # solve.  Both find the orthogonal polar factor; tolerance 1e-13
+        # absolute on entries of size <= 1 (measured at most 8.5e-15 on the
+        # random inputs and 6.7e-16 on the bank, numpy 2.4 / OpenBLAS).  On
+        # the bank the polar factor is ill-conditioned, so both start from
+        # the same X.
+        tol = 1e-13
+        rng = np.random.default_rng(21)
+        scale = rng.uniform(0.01, 100.0, size=(20_000, 4, 1))  # not unit length
+        diff = max(
+            np.max(np.abs(dva_solve(*u) - nearest_rotation(_dva_raw_solve(*u))))
+            for u in rng.normal(size=(20_000, 4, 3)) * scale
+        )
+        assert diff <= tol
+        worst = 0.0
+        for win in bank_windows(bank_30s):
+            for integrated in (True, False):
+                obs = win.observations(integrated)
+                i1, i2 = _dva_indices(obs, (0.5, 1.0))
+                u = obs.u_n0[i1], obs.u_n0[i2], obs.u_b0[i1], obs.u_b0[i2]
+                X = _dva_raw_solve(*u)
+                worst = max(worst, np.max(np.abs(X.T @ X - np.eye(3))))
+                np.testing.assert_allclose(dva_solve(*u), nearest_rotation(X), rtol=0, atol=tol)
+        # under DEFAULT_SENSORS some raw solutions are far from orthogonal,
+        # where Newton needs many steps: the case the swap must get right
+        assert worst > 1.0
 
 
 class TestQuaternionProductMatrices:
@@ -243,6 +290,58 @@ class TestObaSolve:
         assert acc.count == 0 and acc.skipped == 1
         np.testing.assert_array_equal(acc.K, np.zeros((4, 4)))
 
+    @staticmethod
+    def _einsum_k(u_n0, u_b0):
+        """Reference K: the sum of B^T B over the kept unit pairs, with
+        B = _h_plus(n) - _h_minus(b) built per pair."""
+        u = np.array([u_n0, u_b0], dtype=float).reshape(2, -1, 3)
+        norm = np.linalg.norm(u, axis=-1, keepdims=True)
+        keep = ~np.any(norm < 1e-12, axis=(0, 2))
+        n0, b0 = u[:, keep] / norm[:, keep]
+        B = _h_plus(n0) - _h_minus(b0)
+        return np.einsum("kji,kjl->il", B, B)
+
+    def test_closed_form_k_matches_einsum(self, bank_30s):
+        # K from the attitude-profile matrix P = sum n b^T against the
+        # per-pair einsum: they differ in rounding only (2N I stands for the
+        # sum of |n|^2 + |b|^2).  Tolerance 1e-12 relative to max|K|
+        # (measured at most 4.8e-15 on random batches of up to 2,000 pairs
+        # and 8.7e-16 on the bank, numpy 2.4 / OpenBLAS).
+        rel_tol = 1e-12
+        rng = np.random.default_rng(22)
+        reference = np.zeros((4, 4))
+        acc = WahbaAccumulator()
+        for n in (1, 2, 3, 50, 1200):
+            u_n0, u_b0 = make_pairs(rng, random_rotation(rng), n)
+            u_n0 = u_n0 * rng.uniform(0.5, 20.0, size=(n, 1))  # not unit length
+            u_b0 = u_b0 + rng.normal(0.0, 0.05, size=(n, 3))  # not exact pairs
+            u_n0[0] = u_b0[0] = 0.0  # zero on both sides
+            if n > 2:
+                u_n0[n // 2] = 0.0  # zero on one side only
+                u_b0[n // 3] = 1e-13  # below the 1e-12 norm cut-off
+            single = oba_accumulate(WahbaAccumulator(), u_n0, u_b0).K
+            ref = self._einsum_k(u_n0, u_b0)
+            scale = max(1.0, np.max(np.abs(ref)))
+            np.testing.assert_allclose(single, ref, rtol=0, atol=rel_tol * scale)
+            # each batch adds onto what the accumulator already holds
+            oba_accumulate(acc, u_n0, u_b0)
+            reference += ref
+            scale = np.max(np.abs(reference))
+            np.testing.assert_allclose(acc.K, reference, rtol=0, atol=rel_tol * scale)
+        for win in bank_windows(bank_30s):
+            for integrated in (True, False):
+                obs = win.observations(integrated)
+                K = oba_accumulate(WahbaAccumulator(), obs.u_n0, obs.u_b0).K
+                ref = self._einsum_k(obs.u_n0, obs.u_b0)
+                np.testing.assert_allclose(K, ref, rtol=0, atol=rel_tol * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize(
+        "K", [np.full((4, 4), np.nan), np.diag([np.inf, 1.0, 1.0, 1.0]), np.eye(3), np.zeros(16)]
+    )
+    def test_malformed_accumulator_raises(self, K):
+        with pytest.raises(InvalidArgumentError, match="finite 4x4"):
+            oba_solve(WahbaAccumulator(K=K, count=3))
+
     def test_batch_equals_per_pair_loop(self):
         # relative tolerance on K: the batch sums the same per-pair
         # matrices in a different order, nothing else changes
@@ -349,6 +448,24 @@ class TestAlignHeading:
     def test_accepts_method_by_string(self, clean_recording):
         est = align_heading(clean_recording, "A-OBA", 30.0)
         assert est.method == "A-OBA"
+
+    def test_rejects_unknown_method(self, clean_recording):
+        with pytest.raises(InvalidArgumentError, match="I-DVA, A-DVA, I-OBA, A-OBA"):
+            align_heading(clean_recording, "X-OBA", 30.0)
+
+    @pytest.mark.parametrize(
+        "fractions",
+        [(np.nan, 1.0), (0.5, np.inf), (-1.0, 0.5), (1.0, 0.5), (0.5, 0.5), (1.5, 2.0),
+         (0.5,), (0.1, 0.5, 1.0), 0.5, "01", None],
+    )
+    @pytest.mark.parametrize("method", [AlignMethod.I_DVA, AlignMethod.A_OBA])
+    def test_rejects_bad_dva_fractions(self, clean_recording, method, fractions):
+        with pytest.raises(InvalidArgumentError, match="0 <= f1 < f2 <= 1"):
+            align_heading(clean_recording, method, 30.0, dva_fractions=fractions)
+
+    def test_accepts_dva_fractions_at_the_bounds(self, clean_recording):
+        est = align_heading(clean_recording, AlignMethod.I_DVA, 60.0, dva_fractions=(0, 1))
+        assert est.ae_deg < 0.01
 
     def test_recomposition_consistency(self, clean_recording):
         # C^n_b rebuilt from the two frame tracks and the true boundary
