@@ -42,7 +42,6 @@ from .strapdown import (
     integrate_nav_frame,
     observation_instantaneous,
     observation_integrated,
-    require_finite,
 )
 
 __all__ = [
@@ -64,6 +63,11 @@ MIN_PAIR_ANGLE = 1e-5
 #: Two smallest eigenvalues closer than this means the geometry cannot
 #: pin down a unique attitude.
 EIGENVALUE_GAP = 1e-10
+
+#: Largest magnitude accepted for an observation-vector component.  The
+#: squared norm of a bounded vector stays finite (3e300), and so does
+#: the product of two norms, so the unit vectors lose no precision.
+MAX_COMPONENT = 1e150
 
 
 class AlignMethod(enum.Enum):
@@ -136,6 +140,18 @@ def _cross(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64
     )
 
 
+def _bad_vector(u: NDArray[np.float64]) -> tuple[int, str] | None:
+    """The first row of ``u`` (n, 3) holding a NaN, an infinity or a
+    component beyond ``MAX_COMPONENT``, with what is wrong with it; None
+    when every row is fine.  Nothing overflows on the way."""
+    if np.abs(u).max(initial=0.0) <= MAX_COMPONENT:  # False for NaN as well
+        return None
+    k = int(np.argmin((np.abs(u) <= MAX_COMPONENT).all(axis=1)))
+    if not np.isfinite(u[k]).all():
+        return k, "is not finite"
+    return k, f"has a component beyond {MAX_COMPONENT:g}, so its squared norm overflows"
+
+
 def _dva_raw_solve(
     u1_n0: ArrayLike, u2_n0: ArrayLike, u1_b0: ArrayLike, u2_b0: ArrayLike
 ) -> NDArray[np.float64]:
@@ -144,9 +160,9 @@ def _dva_raw_solve(
     u = np.array([u1_n0, u2_n0, u1_b0, u2_b0], dtype=float)
     if u.shape != (4, 3):
         raise InvalidArgumentError(f"dva_solve expects four 3-vectors, got shape {u.shape}")
-    if not np.isfinite(u).all():
-        name = ("u1_n0", "u2_n0", "u1_b0", "u2_b0")[int(np.argmin(np.isfinite(u).all(axis=1)))]
-        raise InvalidArgumentError(f"dva_solve: {name} is not finite")
+    if (bad := _bad_vector(u)) is not None:
+        k, fault = bad
+        raise InvalidArgumentError(f"dva_solve: {('u1_n0', 'u2_n0', 'u1_b0', 'u2_b0')[k]} {fault}")
     # row-wise dot products: np.linalg.norm of each vector, to the bit
     norm = np.sqrt(u[:, None, :] @ u[:, :, None]).ravel()
     if np.any(norm < 1e-12):
@@ -186,8 +202,8 @@ def dva_solve(
     Raises
     ------
     InvalidArgumentError
-        If the inputs are not four 3-vectors or one holds a NaN or an
-        infinity.
+        If the inputs are not four 3-vectors or one holds a NaN, an
+        infinity or a component beyond ``MAX_COMPONENT``.
     DegenerateGeometryError
         If an observation vector is zero, either pair is collinear within
         ``MIN_PAIR_ANGLE`` or the stacked matrix is singular.
@@ -245,8 +261,9 @@ def oba_accumulate(
     shape ``(n, 3)``, to the accumulator.
 
     Vectors are unit-normalized before entering the cost; a pair with a
-    zero vector is skipped and counted in ``acc.skipped``.  Non-finite
-    vectors and mismatched shapes raise :class:`InvalidArgumentError`.
+    zero vector is skipped and counted in ``acc.skipped``.  Mismatched
+    shapes, and a vector that is not finite or has a component beyond
+    ``MAX_COMPONENT``, raise :class:`InvalidArgumentError` naming it.
     """
     u_n0, u_b0 = np.asarray(u_n0, dtype=float), np.asarray(u_b0, dtype=float)
     if u_n0.shape != u_b0.shape or u_n0.shape[-1:] != (3,) or u_n0.ndim > 2:
@@ -254,7 +271,9 @@ def oba_accumulate(
             f"pairs must share shape (3,) or (n, 3), got {u_n0.shape} and {u_b0.shape}"
         )
     n0, b0 = u_n0.reshape(-1, 3), u_b0.reshape(-1, 3)
-    require_finite("observation", u_n0=n0, u_b0=b0)
+    for name, u in (("u_n0", n0), ("u_b0", b0)):
+        if (bad := _bad_vector(u)) is not None:
+            raise InvalidArgumentError(f"observation {name} at sample {bad[0]} {bad[1]}")
     norm_n = np.sqrt((n0 * n0).sum(axis=1))
     norm_b = np.sqrt((b0 * b0).sum(axis=1))
     keep = (norm_n >= 1e-12) & (norm_b >= 1e-12)

@@ -143,12 +143,16 @@ def quat_to_dcm(q: ArrayLike) -> NDArray[np.float64]:
     Raises
     ------
     InvalidArgumentError
-        If the quaternion does not have 4 components or its norm is not
-        within 1e-6 of 1 (a NaN or an infinity included).
+        If the quaternion does not have 4 components, has one beyond
+        +-2 (which no unit quaternion has, and whose square could
+        overflow), or its norm is not within 1e-6 of 1 (a NaN or an
+        infinity included).
     """
     q = np.asarray(q, dtype=float)
     if q.shape != (4,):
         raise InvalidArgumentError(f"quaternion must have 4 components, got shape {q.shape}")
+    if max(map(abs, q.tolist())) > 2.0:
+        raise InvalidArgumentError(f"quaternion {q.tolist()} has a component beyond +-2")
     n = math.sqrt(q.dot(q))  # np.linalg.norm(q), to the bit
     if not abs(n - 1.0) <= 1e-6:  # False for NaN as well
         raise InvalidArgumentError(f"quaternion norm {n!r} deviates from 1 by more than 1e-6")

@@ -20,7 +20,7 @@ from .aligners import AlignMethod, AlignWindow, align_heading
 from .attitude import angle_diff
 from .errors import DegenerateAttitudeError, InsufficientDataError, InvalidArgumentError
 from .nn.data import make_windows, window_starts
-from .nn.model import HeadingModel, predict_heading
+from .nn.model import HeadingModel
 from .recording import Recording, sample_rates
 
 __all__ = ["EvalRow", "EvalReport", "check_eval_args", "evaluate", "nn_method_name"]
@@ -157,11 +157,9 @@ def _classical_window_aes(
 
 
 def _neural_window_aes(model: HeadingModel, rec: Recording, t_align: float) -> list[float]:
+    """One batched, cache-free inference walk over the recording's windows."""
     ws = make_windows([rec], t_align, "eval")
-    return [
-        abs(np.degrees(angle_diff(predict_heading(model, ws.x1[k], ws.x2[k]), ws.y[k])))
-        for k in range(len(ws))
-    ]
+    return np.abs(np.degrees(angle_diff(model.predict(ws.x1, ws.x2), ws.y))).tolist()
 
 
 def _recording_aes(

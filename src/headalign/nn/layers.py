@@ -1,9 +1,13 @@
 """Layers with hand-written forward/backward passes.
 
 Every layer works on float64 numpy arrays shaped (batch, channels,
-height, width) unless noted, caches what its backward pass needs (the
-backward pass consumes it), and exposes ``params()`` as a list of
-(name, value, grad) triples sharing storage with the layer.
+height, width) unless noted and exposes ``params()`` as a list of
+(name, value, grad) triples sharing storage with the layer.  A forward
+keeps what its backward needs in the layer's one cache slot,
+``Layer._cache``, and the backward consumes it.  Inference
+(``HeadingModel.predict``) clears each slot as its walk passes the
+layer and keeps nothing; ``HeadingModel.forward``, in either mode,
+keeps every cache for a backward.
 """
 
 from __future__ import annotations
@@ -32,9 +36,11 @@ Array = NDArray[np.float64]
 
 
 class Layer:
-    """Base: stateless unless a subclass stores parameters or cache."""
+    """Base: stateless unless a subclass stores parameters or a cache."""
 
     name: str = ""
+    #: What the last forward kept for backward; None once consumed.
+    _cache = None
 
     def params(self) -> list[tuple[str, Array, Array]]:
         return []
@@ -53,16 +59,16 @@ class Layer:
         raises ``ForwardCacheError``."""
         raise NotImplementedError
 
-    def _take(self, attr: str):
-        """Forward cache ``attr``, cleared on the layer."""
-        value = getattr(self, attr)
-        if value is None:
+    def _take(self):
+        """The forward cache, cleared on the layer."""
+        cache = self._cache
+        if cache is None:
             raise ForwardCacheError(
-                f"{self.name}: backward has no forward cache {attr} to consume; "
+                f"{self.name}: backward has no forward cache to consume; "
                 "run forward before each backward"
             )
-        setattr(self, attr, None)
-        return value
+        self._cache = None
+        return cache
 
 
 #: Most bytes one batch chunk's temporaries may take.  On the direct
@@ -161,7 +167,6 @@ class Conv2d(Layer):
         self.b = np.zeros(out_ch)
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
-        self._x: Array | None = None
         # spectral path: kept GEMM-layout kernel spectra and the W they are of
         self._kept_W: Array | None = None
         self._kept: dict[tuple[str, int], Array] = {}
@@ -199,7 +204,7 @@ class Conv2d(Layer):
             raise ShapeError(
                 f"{self.name}: kernel ({self.kh}x{self.kw}) larger than input {x.shape[2:]}"
             )
-        self._x = x
+        self._cache = x
         if self.spectral(x.shape):
             return self._spectral_forward(x)
         n, _, h, w = x.shape
@@ -216,7 +221,7 @@ class Conv2d(Layer):
         return y
 
     def backward(self, dy: Array) -> Array | None:
-        x = self._take("_x")
+        x = self._take()
         self.db[...] = dy.sum(axis=(0, 2, 3))
         if self.spectral(x.shape):
             return self._spectral_backward(x, dy)
@@ -346,21 +351,18 @@ class MaxPool1x2(Layer):
 
     def __init__(self, name: str = "pool"):
         self.name = name
-        self._first: Array | None = None
-        self._in_width: int | None = None
 
     def forward(self, x: Array, training: bool = False, rng=None) -> Array:
         w = x.shape[-1] - (x.shape[-1] % 2)
         a = x[..., 0:w:2]
         b = x[..., 1:w:2]
-        self._first = a >= b  # ties keep the first element
-        self._in_width = x.shape[-1]
+        self._cache = (a >= b, x.shape[-1])  # ties keep the first element
         # b first: np.maximum returns its second argument on a tie of 0.0
         # and -0.0, as np.where(a >= b, a, b) does
         return np.maximum(b, a)
 
     def backward(self, dy: Array) -> Array:
-        first, width = self._take("_first"), self._take("_in_width")
+        first, width = self._take()
         dx = np.empty(dy.shape[:-1] + (width,))
         w = width - (width % 2)
         # on the bits, so every slot is exactly dy or +0.0: a pair's first
@@ -385,30 +387,28 @@ class LeakyReLU(Layer):
             raise InvalidArgumentError(f"{name}: leaky slope must be in [0, 1], got {alpha}")
         self.alpha = alpha
         self.name = name
-        self._y: Array | None = None
 
     def forward(self, x: Array, training: bool = False, rng=None) -> Array:
         y = np.multiply(x, self.alpha)
-        self._y = np.maximum(x, y, out=y)
+        self._cache = np.maximum(x, y, out=y)
         return y
 
     def backward(self, dy: Array) -> Array:
         # y > 0 exactly where x > 0; dy times a slope of 1.0 or alpha
-        slope = np.array([self.alpha, 1.0]).take((self._take("_y") > 0).view(np.uint8))
+        slope = np.array([self.alpha, 1.0]).take((self._take() > 0).view(np.uint8))
         return np.multiply(dy, slope, out=slope)
 
 
 class Tanh(Layer):
     def __init__(self, name: str = "tanh"):
         self.name = name
-        self._y: Array | None = None
 
     def forward(self, x: Array, training: bool = False, rng=None) -> Array:
-        self._y = np.tanh(x)
-        return self._y
+        self._cache = np.tanh(x)
+        return self._cache
 
     def backward(self, dy: Array) -> Array:
-        y = self._take("_y")
+        y = self._take()
         return dy * (1.0 - y * y)
 
 
@@ -426,20 +426,19 @@ class Dropout(Layer):
             raise InvalidArgumentError(f"{name}: dropout p must be in [0, 1), got {p}")
         self.p = float(p)
         self.name = name
-        self._mask: Array | object | None = None
 
     def forward(self, x: Array, training: bool = False, rng=None) -> Array:
         if not training or self.p == 0.0:
-            self._mask = _UNMASKED
+            self._cache = _UNMASKED
             return x
         if rng is None:
             raise InvalidArgumentError(f"{self.name}: training-mode dropout needs an rng")
         keep = 1.0 - self.p
-        self._mask = (rng.random(x.shape) < keep) / keep
-        return x * self._mask
+        self._cache = (rng.random(x.shape) < keep) / keep
+        return x * self._cache
 
     def backward(self, dy: Array) -> Array:
-        mask = self._take("_mask")
+        mask = self._take()
         return dy if mask is _UNMASKED else dy * mask
 
 
@@ -453,7 +452,6 @@ class Linear(Layer):
         self.b = np.zeros(out_features)
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
-        self._x: Array | None = None
 
     def params(self):
         return [(f"{self.name}.W", self.W, self.dW), (f"{self.name}.b", self.b, self.db)]
@@ -461,11 +459,11 @@ class Linear(Layer):
     def forward(self, x: Array, training: bool = False, rng=None) -> Array:
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(f"{self.name}: expected (N, {self.in_features}), got {x.shape}")
-        self._x = x
+        self._cache = x
         return x @ self.W.T + self.b
 
     def backward(self, dy: Array) -> Array:
-        self.dW[...] = dy.T @ self._take("_x")
+        self.dW[...] = dy.T @ self._take()
         self.db[...] = dy.sum(axis=0)
         return dy @ self.W
 
@@ -473,14 +471,13 @@ class Linear(Layer):
 class Flatten(Layer):
     def __init__(self, name: str = "flatten"):
         self.name = name
-        self._shape: tuple[int, ...] | None = None
 
     def forward(self, x: Array, training: bool = False, rng=None) -> Array:
-        self._shape = x.shape
+        self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dy: Array) -> Array:
-        return dy.reshape(self._take("_shape"))
+        return dy.reshape(self._take())
 
 
 class AvgPool1d(Layer):

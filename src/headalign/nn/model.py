@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import MISSING, asdict, dataclass, fields
 
@@ -179,6 +180,11 @@ def _run(layers: list[Layer], x: Array, training: bool, rng, probe=None) -> Arra
     return x
 
 
+def _uncache(layer: Layer, y: Array) -> None:
+    """Walk probe: drop the forward cache of the layer the walk just passed."""
+    layer._cache = None
+
+
 def _run_back(layers: list[Layer], dy: Array) -> Array:
     for layer in reversed(layers):
         dy = layer.backward(dy)
@@ -225,9 +231,9 @@ class HeadingModel:
     def _probe_flatten(self) -> int:
         cfg = self.config
         x = np.zeros((1, 1, cfg.input_rows, cfg.input_width))
-        h = _run(self.branch1, x, False, None)
+        h = _run(self.branch1, x, False, None, _uncache)
         z = np.concatenate([h, h], axis=2)
-        return _run(self.trunk, z, False, None).shape[1]
+        return _run(self.trunk, z, False, None, _uncache).shape[1]
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -248,13 +254,20 @@ class HeadingModel:
     # -- forward / backward -------------------------------------------------
 
     def _normalize(self, x: Array, which: str) -> Array:
-        mean = self.norm[f"mean{which}"]
-        std = self.norm[f"std{which}"]
+        mean, std = self.norm[f"mean{which}"], self.norm[f"std{which}"]
         return (x - mean[None, None, :, None]) / std[None, None, :, None]
 
     def forward(self, x1: Array, x2: Array, rng=None) -> Array:
         """Window batch (N, 1, rows, width) x2 -> heading estimates (N,)."""
         return self._walk(x1, x2, self.training, rng)
+
+    def predict(self, x1: Array, x2: Array) -> Array:
+        """``forward`` in eval mode, wrapped to (-pi, pi], keeping no forward
+        cache: the walk clears each layer's as it passes the layer.  A model
+        in training mode raises ``HeadAlignError``."""
+        if self.training:
+            raise HeadAlignError("model must be in eval mode for inference")
+        return wrap_angle(self._walk(x1, x2, False, None, _uncache))
 
     def _walk(self, x1: Array, x2: Array, training: bool, rng, probe=None) -> Array:
         """``forward`` in the given mode; ``probe(layer, y)``, if given, sees
@@ -278,17 +291,16 @@ class HeadingModel:
         """Accumulate parameter gradients from dloss/dpred (N,).  Each
         layer's backward consumes its forward cache, so the activations of
         the layers already passed are freed as the walk goes."""
-        dy = dpred[:, None]
-        dy = _run_back(self.fc, dy)
-        dz = _run_back(self.trunk, dy)
+        dz = _run_back(self.trunk, _run_back(self.fc, dpred[:, None]))
         _run_back(self.branch1, dz[:, :, : self._h_rows, :])
         _run_back(self.branch2, dz[:, :, self._h_rows :, :])
 
     def check_finite(self, x1: Array, x2: Array) -> str | None:
         """Name the first layer whose output is non-finite, else None.  The
-        walk runs in eval mode (no dropout); ``training`` is left as it was."""
+        walk is ``predict``'s: eval mode, no cache kept; ``training`` stays as it was."""
 
         def probe(layer: Layer, y: Array) -> None:
+            _uncache(layer, y)
             if not np.isfinite(y).all():
                 raise _NonFinite(layer.name)
 
@@ -306,11 +318,7 @@ def build_headingnet(t_align: int, seed: int = 0) -> HeadingModel:
     for name, p, _ in model.params():
         if name.endswith(".b"):
             continue
-        if p.ndim == 4:
-            fan_in = p.shape[1] * p.shape[2] * p.shape[3]
-        else:
-            fan_in = p.shape[1]
-        bound = np.sqrt(6.0 / fan_in)
+        bound = np.sqrt(6.0 / math.prod(p.shape[1:]))  # fan_in
         p[...] = stream(seed, "init", name).uniform(-bound, bound, p.shape)
     return model
 
@@ -320,18 +328,13 @@ def parameter_count(model: HeadingModel) -> int:
 
 
 def predict_heading(model: HeadingModel, x1: Array, x2: Array) -> float:
-    """Single-window inference; the output is wrapped to (-pi, pi].  Each
-    input is one (1, rows, width) window, or a batch holding only it; a
-    batch of another size raises ``ShapeError``."""
-    if model.training:
-        raise HeadAlignError("model must be in eval mode for inference")
-    if x1.ndim == 3:
-        x1 = x1[None]
-    if x2.ndim == 3:
-        x2 = x2[None]
+    """Single-window ``HeadingModel.predict``; the output is wrapped to
+    (-pi, pi].  Each input is one (1, rows, width) window, or a batch
+    holding only it; a batch of another size raises ``ShapeError``."""
+    x1, x2 = (x[None] if x.ndim == 3 else x for x in (x1, x2))
     if x1.shape[:1] != (1,) or x2.shape[:1] != (1,):
         raise ShapeError(f"inference takes one window, got inputs {x1.shape} and {x2.shape}")
-    return float(wrap_angle(model.forward(x1, x2)[0]))
+    return float(model.predict(x1, x2)[0])
 
 
 # -- checkpoint ----------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from headalign.aligners import (
+    MAX_COMPONENT,
     AlignMethod,
     AlignWindow,
     HeadingEstimate,
@@ -145,6 +146,22 @@ class TestDvaSolve:
             warnings.simplefilter("error")  # no numpy warning may escape first
             with pytest.raises(InvalidArgumentError, match=f"{name} is not finite"):
                 dva_solve(*u)
+
+    @pytest.mark.parametrize("slot, name", enumerate(["u1_n0", "u2_n0", "u1_b0", "u2_b0"]))
+    def test_overflowing_vector_raises(self, slot, name):
+        u = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        u[slot] = [0.0, -1e200, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may escape first
+            with pytest.raises(InvalidArgumentError, match=f"{name} has a component beyond 1e\\+150"):
+                dva_solve(*u)
+
+    def test_components_at_the_bound_are_accepted(self):
+        u = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = dva_solve(*(u * MAX_COMPONENT))
+        np.testing.assert_allclose(big, dva_solve(*u), rtol=0, atol=1e-15)
 
     def test_matches_newton_polar_factor(self, bank_30s):
         # reference: nearest_rotation's Newton iteration on the same raw
@@ -383,6 +400,29 @@ class TestObaSolve:
             with pytest.raises(InvalidArgumentError):
                 oba_accumulate(acc, u_n0, u_b0)
         assert acc.count == 0 and acc.skipped == 0
+
+    @pytest.mark.parametrize(
+        "u_n0, u_b0, match",
+        [
+            ([[1e200, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], np.eye(3), "u_n0 at sample 0"),
+            (np.eye(3), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1e151]], "u_b0 at sample 2"),
+        ],
+    )
+    def test_overflowing_pair_raises(self, u_n0, u_b0, match):
+        acc = WahbaAccumulator()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may escape first
+            with pytest.raises(InvalidArgumentError, match=f"{match} has a component beyond 1e\\+150"):
+                oba_accumulate(acc, u_n0, u_b0)
+        assert acc.count == 0 and acc.skipped == 0 and not acc.K.any()
+
+    def test_pairs_at_the_bound_are_accepted(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = oba_accumulate(WahbaAccumulator(), MAX_COMPONENT * np.eye(3), -MAX_COMPONENT * np.eye(3))
+        unit = oba_accumulate(WahbaAccumulator(), np.eye(3), -np.eye(3))
+        assert (big.count, big.skipped) == (3, 0)
+        np.testing.assert_allclose(big.K, unit.K, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize(
         "shape_n0, shape_b0",

@@ -156,6 +156,7 @@ def test_quat_to_dcm_matches_skew_outer_form():
         [1.0, 0.0, np.nan, 0.0],
         [np.inf, 0.0, 0.0, 0.0],
         [1.0, 0.0, 0.0, -np.inf],
+        [1e200, 0.0, 0.0, 0.0],
         [1.0, 1.0, 0.0, 0.0],
         [0.0, 0.0, 0.0, 0.0],
         [1.0, 0.0, 0.0],

@@ -3,6 +3,7 @@ stops the sweep with a named error, and a malformed report is rejected
 when it is read back."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import headalign.harness as harness
@@ -30,7 +31,7 @@ def test_non_finite_classical_error_raises(clean_recording, monkeypatch):
 
 
 def test_non_finite_neural_error_raises(clean_recording, monkeypatch):
-    monkeypatch.setattr(harness, "predict_heading", lambda model, x1, x2: float("nan"))
+    monkeypatch.setattr(harness.HeadingModel, "predict", lambda model, x1, x2: np.full(len(x1), np.nan))
     model = build_headingnet(10, seed=0).eval()
     with pytest.raises(DegenerateAttitudeError, match="HeadingNet10 at t_align=10 s .* window 0"):
         evaluate([clean_recording], ["HeadingNet10"], [10.0], models={10: model})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import headalign.harness as harness
-from headalign.errors import InsufficientDataError, InvalidArgumentError
+from headalign.errors import HeadAlignError, InsufficientDataError, InvalidArgumentError
 from headalign.harness import EvalReport, evaluate, nn_method_name
 from headalign.nn.data import make_windows
 from headalign.nn.model import build_headingnet
@@ -56,6 +56,12 @@ def test_neural_rows_only_for_matching_variation(clean_recording):
     assert {r.t_align for r in rep.rows if r.method == "I-OBA"} == {10.0, 30.0}
 
 
+def test_evaluate_rejects_a_training_mode_model(clean_recording):
+    model = build_headingnet(10, seed=0).train()
+    with pytest.raises(HeadAlignError, match="eval mode"):
+        evaluate([clean_recording], ["HeadingNet10"], [10.0], models={10: model})
+
+
 def test_improvement_formula_and_tiebreak(clean_recording, monkeypatch):
     fixed = {"I-DVA": 4.0, "A-DVA": 2.0, "I-OBA": 2.0, "A-OBA": 3.0}
 
@@ -63,10 +69,10 @@ def test_improvement_formula_and_tiebreak(clean_recording, monkeypatch):
         return [fixed[method.value]]
 
     def fake_predict(model, x1, x2):
-        return 0.0
+        return np.zeros(len(x1))
 
     monkeypatch.setattr(harness, "_classical_window_aes", fake_classical)
-    monkeypatch.setattr(harness, "predict_heading", fake_predict)
+    monkeypatch.setattr(harness.HeadingModel, "predict", fake_predict)
     model = build_headingnet(10, seed=0).eval()
     rep = evaluate(
         [clean_recording],
@@ -88,7 +94,7 @@ def test_improvement_is_zero_when_nn_matches_best(clean_recording, monkeypatch):
 
     def fake_predict(model, x1, x2):
         fake_predict.k += 1
-        return 0.0
+        return np.zeros(len(x1))
 
     fake_predict.k = 0
     # make the NN mean AE exactly equal the baseline: every window off by 1.5 deg
@@ -97,7 +103,7 @@ def test_improvement_is_zero_when_nn_matches_best(clean_recording, monkeypatch):
         ws.y = np.full_like(ws.y, np.deg2rad(1.5))
         return ws
 
-    monkeypatch.setattr(harness, "predict_heading", fake_predict)
+    monkeypatch.setattr(harness.HeadingModel, "predict", fake_predict)
     monkeypatch.setattr(harness, "make_windows", fake_make_windows)
     model = build_headingnet(10, seed=0).eval()
     rep = evaluate([clean_recording], ["I-OBA", "HeadingNet10"], [10.0], models={10: model})
@@ -118,7 +124,7 @@ def test_report_json_round_trip(clean_recording):
 
 def test_csv_headers_and_shapes(clean_recording, monkeypatch):
     monkeypatch.setattr(harness, "_classical_window_aes", lambda r, m, t: [2.0])
-    monkeypatch.setattr(harness, "predict_heading", lambda m, a, b: 0.0)
+    monkeypatch.setattr(harness.HeadingModel, "predict", lambda m, a, b: np.zeros(len(a)))
     model = build_headingnet(10, seed=0).eval()
     rep = evaluate([clean_recording], ["I-OBA", "HeadingNet10"], [10.0], models={10: model})
     rows = rep.rows_csv().splitlines()
