@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .aligners import AlignMethod, AlignWindow, align_heading
 from .attitude import angle_diff
 from .errors import DegenerateAttitudeError, InsufficientDataError, InvalidArgumentError
+from .fields import check_entry
 from .nn.data import make_windows, window_starts
 from .nn.model import HeadingModel
 from .recording import Recording, sample_rates
@@ -28,17 +29,6 @@ __all__ = ["EvalRow", "EvalReport", "check_eval_args", "evaluate", "nn_method_na
 REPORT_VERSION = "1"
 
 CLASSICAL_METHODS = tuple(m.value for m in AlignMethod)
-
-_NUMBER = (int, float)
-
-#: Field types of each list in a serialised report.
-_REPORT_FIELDS = {
-    "rows": {"method": str, "t_align": _NUMBER, "recording": str,
-             "mean_ae_deg": _NUMBER, "windows": int},
-    "averages": {"method": str, "t_align": _NUMBER, "mean_ae_deg": _NUMBER},
-    "improvements": {"t_align": _NUMBER, "best_baseline_name": str, "best_ae": _NUMBER,
-                     "nn_ae": _NUMBER, "improvement_pct": _NUMBER},
-}
 
 
 def nn_method_name(t_align: int | float) -> str:
@@ -52,6 +42,15 @@ class EvalRow:
     recording: str
     mean_ae_deg: float
     windows: int
+
+
+#: Field annotations of each record list in a serialised report.
+_REPORT_FIELDS = {
+    "rows": {f.name: f.type for f in fields(EvalRow)},
+    "averages": {"method": "str", "t_align": "float", "mean_ae_deg": "float"},
+    "improvements": {"t_align": "float", "best_baseline_name": "str", "best_ae": "float",
+                     "nn_ae": "float", "improvement_pct": "float"},
+}
 
 
 @dataclass
@@ -76,38 +75,20 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
-        """Rebuild a report from :meth:`to_dict` output.
-
-        Raises :class:`InvalidArgumentError` on another version, on a
-        missing or extra key, or on a value of the wrong type or a
-        non-finite number.
-        """
+        """Rebuild a report from :meth:`to_dict` output.  Another version, a
+        missing or extra key, or a value that fails its field check raises
+        :class:`InvalidArgumentError`."""
         if not isinstance(d, dict):
             raise InvalidArgumentError("report must be a JSON object")
         if d.get("version") != REPORT_VERSION:
             raise InvalidArgumentError(f"unsupported report version {d.get('version')!r}")
-        for name, fields in _REPORT_FIELDS.items():
+        lists = {}
+        for name, kinds in _REPORT_FIELDS.items():
             entries = d.get(name)
             if not isinstance(entries, list):
                 raise InvalidArgumentError(f"report {name!r} must be a list")
-            for k, entry in enumerate(entries):
-                if not isinstance(entry, dict) or entry.keys() != fields.keys():
-                    raise InvalidArgumentError(
-                        f"report {name}[{k}] must have exactly the keys {sorted(fields)}"
-                    )
-                for key, kind in fields.items():
-                    value = entry[key]
-                    if isinstance(value, bool) or not isinstance(value, kind):
-                        raise InvalidArgumentError(
-                            f"report {name}[{k}].{key} has the wrong type: {value!r}"
-                        )
-                    if isinstance(value, float) and not math.isfinite(value):
-                        raise InvalidArgumentError(f"report {name}[{k}].{key} is {value!r}")
-        rep = cls()
-        rep.rows = [EvalRow(**r) for r in d["rows"]]
-        rep.averages = list(d["averages"])
-        rep.improvements = list(d["improvements"])
-        return rep
+            lists[name] = [check_entry(f"report {name}[{k}]", e, kinds) for k, e in enumerate(entries)]
+        return cls([EvalRow(**r) for r in lists["rows"]], lists["averages"], lists["improvements"])
 
     def rows_csv(self) -> str:
         lines = ["method,t_align,recording,mean_ae_deg,windows"]

@@ -16,13 +16,14 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from numpy.typing import NDArray
 
 from ..attitude import wrap_angle
 from ..errors import HeadAlignError, InvalidArgumentError, ShapeError
+from ..fields import check_entry, check_fields, from_dict
 from ..rng import stream
 from .layers import Conv2d, Dropout, Flatten, Layer, LeakyReLU, Linear, MaxPool1x2, Tanh
 
@@ -93,21 +94,20 @@ class HeadingNetConfig:
     def input_width(self) -> int:
         return 5 * self.t_align
 
+    def __post_init__(self):
+        check_fields(self)
+        for name in ("t_align", "k1", "k2", "k3", "k4", "k5", "avgpool_k", "input_rows"):
+            v = getattr(self, name)
+            if v is not None and min(v if isinstance(v, tuple) else (v,)) < 1:
+                raise InvalidArgumentError(f"{name} must be positive, got {v}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "HeadingNetConfig":
-        """Inverse of ``to_dict``.  A field that is missing, unknown or not
-        of its type raises ``InvalidArgumentError`` naming it."""
-        if not isinstance(d, dict):
-            raise InvalidArgumentError(f"config must be an object, got {d!r}")
-        names = [f.name for f in fields(cls)]
-        if unknown := sorted(set(d) - set(names)):
-            raise InvalidArgumentError(f"unknown config field(s) {unknown}; expected {names}")
-        if missing := [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]:
-            raise InvalidArgumentError(f"config lacks {', '.join(missing)}")
-        return cls(**{f.name: _CHECKS[f.type](f.name, d.get(f.name, f.default)) for f in fields(cls)})
+        """Inverse of ``to_dict``; see ``fields.from_dict``."""
+        return from_dict(cls, d, "config")
 
     @classmethod
     def for_variation(cls, t_align: int) -> "HeadingNetConfig":
@@ -121,37 +121,6 @@ def variation_fields(t_align: int, cls) -> dict:
         raise InvalidArgumentError(f"unknown variation {t_align}; expected one of {sorted(VARIATIONS)}")
     row = VARIATIONS[t_align]
     return {f.name: row[f.name] for f in fields(cls) if f.name in row}
-
-
-def _field(name: str, v, ok: bool, what: str):
-    """``v`` if ``ok``, else ``InvalidArgumentError`` naming the field."""
-    if not ok:
-        raise InvalidArgumentError(f"config field {name} must be {what}, got {v!r}")
-    return v
-
-
-def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v > 0
-
-
-def _kernel(name: str, v) -> tuple[int, int]:
-    ok = isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_count, v))
-    return tuple(_field(name, v, ok, "two positive integers"))
-
-
-def _real(name: str, v) -> float:
-    ok = isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
-    return float(_field(name, v, ok, "a finite number"))
-
-
-#: The check of each ``HeadingNetConfig`` field type, keyed by its annotation.
-_CHECKS = {
-    "int": lambda name, v: _field(name, v, _is_count(v), "a positive integer"),
-    "bool": lambda name, v: _field(name, v, isinstance(v, bool), "true or false"),
-    "float": _real,
-    "tuple[int, int]": _kernel,
-    "tuple[int, int] | None": lambda name, v: None if v is None else _kernel(name, v),
-}
 
 
 def _branch_layers(cfg: HeadingNetConfig, tag: str) -> list[Layer]:
@@ -297,7 +266,9 @@ class HeadingModel:
 
     def check_finite(self, x1: Array, x2: Array) -> str | None:
         """Name the first layer whose output is non-finite, else None.  The
-        walk is ``predict``'s: eval mode, no cache kept; ``training`` stays as it was."""
+        walk is ``predict``'s, in eval mode; afterwards no layer holds a
+        cache, those past the layer where the walk stops included.
+        ``training`` stays as it was."""
 
         def probe(layer: Layer, y: Array) -> None:
             _uncache(layer, y)
@@ -308,6 +279,9 @@ class HeadingModel:
             self._walk(x1, x2, False, None, probe)
         except _NonFinite as exc:
             return exc.args[0]
+        finally:
+            for layer in self.layers():
+                layer._cache = None
         return None
 
 
@@ -377,41 +351,15 @@ def save_checkpoint(model: HeadingModel, path: str) -> None:
         fh.write(data)
 
 
-def _norm_arrays(norm, rows: int) -> dict[str, Array]:
-    """The header's normalization statistics as arrays of ``rows`` values."""
-    if not isinstance(norm, dict) or sorted(norm) != sorted(NORM_KEYS):
-        got = sorted(norm) if isinstance(norm, dict) else type(norm).__name__
-        raise InvalidArgumentError(f"norm must be an object with keys {', '.join(NORM_KEYS)}, got {got}")
-    arrays = {}
-    for key, v in norm.items():
-        try:
-            a = np.asarray(v, dtype=float)
-        except (TypeError, ValueError):
-            a = None
-        if a is None or a.shape != (rows,):
-            raise InvalidArgumentError(f"norm field {key} must be {rows} numbers, got {v!r}")
-        arrays[key] = a
-    return arrays
+#: Field annotations of a checkpoint manifest entry.
+_MANIFEST_FIELDS = {"name": "str", "shape": "tuple[int, ...]", "offset": "int", "nbytes": "int"}
 
 
 def _manifest_entries(manifest) -> list[dict]:
-    """The header's manifest, each entry checked for its keys and their types."""
+    """The header's manifest, each entry checked against ``_MANIFEST_FIELDS``."""
     if not isinstance(manifest, list):
         raise InvalidArgumentError(f"manifest must be a list, got {type(manifest).__name__}")
-    keys = ("name", "shape", "offset", "nbytes")
-    for i, entry in enumerate(manifest):
-        if not isinstance(entry, dict):
-            raise InvalidArgumentError(f"manifest entry {i} is not an object: {entry!r}")
-        if missing := [k for k in keys if k not in entry]:
-            raise InvalidArgumentError(f"manifest entry {i} lacks {', '.join(missing)}")
-        shape = entry["shape"]
-        if not (isinstance(entry["name"], str) and isinstance(shape, list)
-                and all(type(v) is int for v in shape + [entry["offset"], entry["nbytes"]])):
-            raise InvalidArgumentError(
-                f"manifest entry {i} needs a string name, a list shape and integer offset "
-                f"and nbytes, got {entry!r}"
-            )
-    return manifest
+    return [check_entry(f"manifest entry {i}", entry, _MANIFEST_FIELDS) for i, entry in enumerate(manifest)]
 
 
 def load_checkpoint(path: str) -> HeadingModel:
@@ -442,13 +390,15 @@ def load_checkpoint(path: str) -> HeadingModel:
         raise HeadAlignError(f"{path}: checkpoint data corrupted (checksum mismatch)")
     try:
         config = HeadingNetConfig.from_dict(header["config"])
-        norm = _norm_arrays(header["norm"], config.input_rows)
+        norm = check_entry("norm", header["norm"], dict.fromkeys(NORM_KEYS, "tuple[float, ...]"))
+        if short := [key for key, v in norm.items() if len(v) != config.input_rows]:
+            raise InvalidArgumentError(f"norm field {short[0]} must be {config.input_rows} numbers, got {norm[short[0]]!r}")
         manifest = _manifest_entries(header["manifest"])
     except InvalidArgumentError as exc:
         raise HeadAlignError(f"{path}: malformed checkpoint: {exc}") from None
 
     model = HeadingModel(config)
-    model.norm = norm
+    model.norm = {key: np.array(v) for key, v in norm.items()}
     params = {name: p for name, p, _ in model.params()}
     names = [entry["name"] for entry in manifest]
     if unknown := [name for name in names if name not in params]:
@@ -463,7 +413,7 @@ def load_checkpoint(path: str) -> HeadingModel:
     for entry in manifest:
         name = entry["name"]
         p = params[name]
-        shape = tuple(entry["shape"])
+        shape = entry["shape"]
         if shape != p.shape:
             raise ShapeError(f"{path}: {name} shape {shape} != expected {p.shape}")
         lo, nbytes = entry["offset"], entry["nbytes"]

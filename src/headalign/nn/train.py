@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InsufficientDataError, InvalidArgumentError, TrainingDivergedError
+from ..fields import check_fields, from_dict
 from ..rng import stream
-from ..simulate import _number
 from .data import WindowSet
 from .loss import cmse_loss
 from .model import HeadingModel, variation_fields
@@ -31,9 +31,7 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        for name in ("epochs", "batch", "scheduler_step"):
-            if isinstance(v := getattr(self, name), bool) or not isinstance(v, (int, np.integer)):
-                raise InvalidArgumentError(f"{name} must be an integer, got {v!r}")
+        check_fields(self)
         if self.epochs < 0 or self.batch < 1 or self.scheduler_step < 1:
             raise InvalidArgumentError("epochs must be >= 0, batch >= 1 and scheduler_step >= 1")
         beta1, beta2 = self.betas
@@ -46,14 +44,14 @@ class TrainConfig:
             ("beta2", beta2, lambda v: 0 <= v < 1, "in [0, 1)"),
             ("eps", self.eps, lambda v: v > 0, "> 0"),
         ):
-            if not ok(v := _number(name, v)):
+            if not ok(v):
                 raise InvalidArgumentError(f"{name} must be {rule}, got {v}")
 
 
 def default_train_config(t_align: int, seed: int, **overrides) -> TrainConfig:
     """Stock hyperparameters of a variation (its ``VARIATIONS`` row);
-    keyword overrides win."""
-    return TrainConfig(**(variation_fields(t_align, TrainConfig) | {"seed": seed} | overrides))
+    keyword overrides win, and one that names no field raises."""
+    return from_dict(TrainConfig, variation_fields(t_align, TrainConfig) | {"seed": seed} | overrides, "train")
 
 
 def train(

@@ -17,6 +17,7 @@ from numpy.typing import NDArray
 
 from .attitude import euler_to_dcm, wrap_angle
 from .errors import InvalidArgumentError
+from .fields import check_fields, from_dict
 from .recording import FORMAT_VERSION, Recording, TruthTrack
 from .rng import stream
 from .strapdown import AidData, ImuData, _latitude, earth_rate_nav, gravity_nav
@@ -41,16 +42,6 @@ EARTH_RADIUS = 6378137.0
 STANDARD_GRAVITY = 9.80665
 
 
-def _number(name: str, v) -> float:
-    """``v`` as a finite float, else :class:`InvalidArgumentError` naming ``name``."""
-    try:
-        if np.isfinite(x := float(v)):
-            return x
-    except (TypeError, ValueError):
-        raise InvalidArgumentError(f"{name} must be a number, got {v!r}") from None
-    raise InvalidArgumentError(f"{name} must be finite, got {x}")
-
-
 @dataclass(frozen=True)
 class Oscillation:
     """One sinusoidal component: ``amp_deg * sin(2 pi t / period_s + phase_rad)``."""
@@ -60,19 +51,9 @@ class Oscillation:
     phase_rad: float = 0.0
 
     def __post_init__(self):
-        for name in ("amp_deg", "period_s", "phase_rad"):
-            object.__setattr__(self, name, _number(name, getattr(self, name)))
+        check_fields(self)
         if self.period_s <= 0:
             raise InvalidArgumentError(f"oscillation period must be > 0, got {self.period_s}")
-
-
-def _osc_list(name: str, items) -> tuple[Oscillation, ...]:
-    try:
-        return tuple(o if isinstance(o, Oscillation) else Oscillation(*o) for o in items)
-    except TypeError:
-        raise InvalidArgumentError(f"{name} must list [amp_deg, period_s(, phase_rad)] entries, got {items!r}") from None
-    except InvalidArgumentError as exc:
-        raise InvalidArgumentError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -92,13 +73,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "name", str(self.name))
-        for name in ("heading_osc", "roll_osc", "pitch_osc"):
-            object.__setattr__(self, name, _osc_list(name, getattr(self, name)))
-        for name in ("duration", "lat", "lon", "psi0", "imu_rate", "aid_rate"):
-            object.__setattr__(self, name, _number(name, getattr(self, name)))
-        if not isinstance(self.seed, int):
-            object.__setattr__(self, "seed", int(_number("seed", self.seed)))
+        check_fields(self)
         if self.duration <= 0:
             raise InvalidArgumentError("duration must be positive")
         if self.imu_rate <= 0 or self.aid_rate <= 0:
@@ -118,14 +93,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        if not isinstance(d, dict):
-            raise InvalidArgumentError(f"scenario config must be an object, got {d!r}")
-        if unknown := sorted(set(d) - set(cls.__dataclass_fields__)):
-            raise InvalidArgumentError(f"unknown scenario field(s) {unknown}; expected {list(cls.__dataclass_fields__)}")
-        for name in ("name", "duration", "lat", "lon", "psi0"):
-            if name not in d:
-                raise InvalidArgumentError(f"scenario config missing field {name!r}")
-        return cls(**d)
+        return from_dict(cls, d, "scenario")
 
 
 @dataclass(frozen=True)
@@ -144,8 +112,8 @@ class SensorSpec:
     gnss_pos_sigma: float = 0.0
 
     def __post_init__(self):
+        check_fields(self)
         for name, v in self.to_dict().items():
-            object.__setattr__(self, name, v := _number(name, v))
             if v < 0:
                 raise InvalidArgumentError(f"{name} must be non-negative, got {v}")
 
@@ -154,11 +122,7 @@ class SensorSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SensorSpec":
-        if not isinstance(d, dict):
-            raise InvalidArgumentError(f"sensor spec must be an object, got {d!r}")
-        if unknown := sorted(set(d) - set(cls.__dataclass_fields__)):
-            raise InvalidArgumentError(f"unknown sensor field(s) {unknown}; expected {list(cls.__dataclass_fields__)}")
-        return cls(**d)
+        return from_dict(cls, d, "sensor")
 
 
 #: MEMS-grade unit under test: 0.02 °/s bias, 0.032 °/√hr ARW,

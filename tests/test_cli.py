@@ -207,13 +207,18 @@ def test_simulate_config_rejects_misshapen_oscillation(scenario_file, tmp_path, 
     assert msg.startswith("heading_osc must list [amp_deg, period_s")
 
 
-@pytest.mark.parametrize("field, value", [("duration", "forty"), ("lat", None), ("seed", "x"),
-                                          ("heading_osc", [["big", 35.0, 0.0]])])
-def test_simulate_config_rejects_non_numeric_value(scenario_file, tmp_path, capsys, field, value):
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param("duration", "forty", "duration must be a number, got 'forty'", id="duration-forty"),
+    pytest.param("lat", None, "lat must be a number, got None", id="lat-None"),
+    pytest.param("seed", "x", "seed must be an integer, got 'x'", id="seed-x"),
+    pytest.param("heading_osc", [["big", 35.0, 0.0]], "heading_osc: amp_deg must be a number, got 'big'",
+                 id="heading_osc-value3"),
+])
+def test_simulate_config_rejects_non_numeric_value(scenario_file, tmp_path, capsys, field, value, message):
     doc = json.load(open(scenario_file))
     doc[field] = value
     msg = _simulate_fails(tmp_path, capsys, _json_file(tmp_path, "bad.json", doc))
-    assert "must be a number" in msg
+    assert msg == message
 
 
 @pytest.mark.parametrize("name", ["config", "sensors"])
@@ -247,6 +252,41 @@ def test_simulate_config_rejects_unknown_field(scenario_file, tmp_path, capsys):
     doc["heading_oscs"] = doc.pop("heading_osc")  # misspelled: must not be dropped
     msg = _simulate_fails(tmp_path, capsys, _json_file(tmp_path, "bad.json", doc))
     assert msg.startswith("unknown scenario field(s) ['heading_oscs']")
+
+
+def _one_invalid_argument(rc, capsys) -> str:
+    """Assert exit 1 with exactly one ``invalid-argument`` JSON line on stderr; its message."""
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "invalid-argument"
+    return err["message"]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("duration", True, "duration must be a number, got True"),
+    ("psi0", "0.3", "psi0 must be a number, got '0.3'"),
+    ("seed", 2.5, "seed must be an integer, got 2.5"),
+    ("name", 5, "name must be a string, got 5"),
+    ("heading_osc", [[True, 35]], "heading_osc: amp_deg must be a number, got True"),
+])
+def test_simulate_config_rejects_field_of_wrong_type(scenario_file, tmp_path, capsys, field, value, message):
+    config = _json_file(tmp_path, "bad.json", json.load(open(scenario_file)) | {field: value})
+    rc = main(["simulate", "--config", config, "--sensors", "none", "--out-dir", str(tmp_path / "out")])
+    assert _one_invalid_argument(rc, capsys) == message
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("gyro_arw", True, "gyro_arw must be a number, got True"),
+    ("accel_bias", "5", "accel_bias must be a number, got '5'"),
+])
+def test_simulate_sensors_rejects_field_of_wrong_type(scenario_file, tmp_path, capsys, field, value, message):
+    sensors = _json_file(tmp_path, "sensors.json", {"gyro_arw": 0.03, field: value})
+    rc = main(["simulate", "--config", scenario_file, "--sensors", sensors, "--out-dir", str(tmp_path / "out")])
+    assert _one_invalid_argument(rc, capsys) == message
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_accepts_a_sensor_file(scenario_file, tmp_path, capsys):
@@ -376,7 +416,7 @@ def test_evaluate_rejects_checkpoint_config_without_field(data_dir, trained_dir,
     assert rc == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert json.loads(err) == {"error": "headalign-error", "message": f"{bad}: malformed checkpoint: config lacks k1"}
+    assert json.loads(err) == {"error": "headalign-error", "message": f"{bad}: malformed checkpoint: missing config field(s) ['k1']"}
 
 
 @pytest.fixture(scope="module")

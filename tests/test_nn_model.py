@@ -234,6 +234,22 @@ def test_inference_walks_keep_no_forward_cache():
     assert _cached(model) == []
 
 
+@pytest.mark.parametrize("bad_layer", [None, "fc1"])
+def test_check_finite_after_a_training_forward_keeps_no_cache(bad_layer):
+    """The diverged-step path of ``train``: a training forward fills every
+    cache, then ``check_finite`` runs.  No layer holds a cache afterwards,
+    also when the walk stops early at a non-finite layer."""
+    model = build_headingnet(10, seed=0)
+    if bad_layer is not None:
+        next(l for l in model.layers() if l.name == bad_layer).W.flat[0] = np.nan
+    x1, x2 = _inputs(10, n=64)
+    model.train().forward(x1, x2, rng=stream(0, "dropout"))
+    assert _cached(model) == [layer.name for layer in model.layers()]
+    assert model.check_finite(x1, x2) == bad_layer
+    assert _cached(model) == []
+    assert model.training
+
+
 def test_batched_predict_rejects_training_mode():
     model = build_headingnet(10, seed=0).train()
     with pytest.raises(HeadAlignError, match="eval mode"):
@@ -382,17 +398,21 @@ class TestCheckpoint:
     # each edit keeps the checksum intact; read without checks, they raise
     # a raw KeyError, TypeError, ValueError or AttributeError, or load
     @pytest.mark.parametrize("edit, message", [
-        pytest.param(lambda h: h["config"].pop("k1"), "config lacks k1", id="config_without_k1"),
+        pytest.param(lambda h: h["config"].pop("k1"), "missing config field(s) ['k1']", id="config_without_k1"),
         pytest.param(lambda h: h["config"].update(k1="ab"),
-                     "config field k1 must be two positive integers, got 'ab'", id="k1_string"),
+                     "k1 must be a list of 2 entries, got 'ab'", id="k1_string"),
         pytest.param(lambda h: h["config"].update(leaky_alpha="x"),
-                     "config field leaky_alpha must be a finite number, got 'x'", id="alpha_string"),
+                     "leaky_alpha must be a number, got 'x'", id="alpha_string"),
+        pytest.param(lambda h: h["config"].update(k1=[0, 3]), "k1 must be positive, got (0, 3)", id="k1_zero"),
+        pytest.param(lambda h: h["config"].update(t_align=10.0), "t_align must be an integer, got 10.0",
+                     id="t_align_float"),
         pytest.param(lambda h: h["config"].update(input_width=7, k6=[1, 1]),
                      "unknown config field(s) ['input_width', 'k6']", id="config_unknown_fields"),
         pytest.param(lambda h: h.update(norm=list(h["norm"].values())),
-                     "norm must be an object with keys mean1, std1, mean2, std2, got list", id="norm_list"),
+                     "norm must have exactly the keys ['mean1', 'mean2', 'std1', 'std2']", id="norm_list"),
         pytest.param(lambda h: h.update(manifest=5), "manifest must be a list, got int", id="manifest_int"),
-        pytest.param(lambda h: h["manifest"][0].pop("name"), "manifest entry 0 lacks name",
+        pytest.param(lambda h: h["manifest"][0].pop("name"),
+                     "manifest entry 0 must have exactly the keys ['name', 'nbytes', 'offset', 'shape']",
                      id="entry_without_name"),
         pytest.param(lambda h: h["norm"].update(mean1=h["norm"]["mean1"][:5]),
                      "norm field mean1 must be 6 numbers", id="short_mean1"),

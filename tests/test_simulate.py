@@ -218,6 +218,40 @@ class TestConfigs:
         with pytest.raises(InvalidArgumentError):
             flat_cfg(lat=2.0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("duration", True, "duration must be a number, got True"),
+        ("psi0", "0.3", "psi0 must be a number, got '0.3'"),
+        ("seed", 2.5, "seed must be an integer, got 2.5"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("name", 5, "name must be a string, got 5"),
+        ("heading_osc", [[True, 35]], "heading_osc: amp_deg must be a number, got True"),
+        ("roll_osc", [[1.0, "8"]], "roll_osc: period_s must be a number, got '8'"),
+    ])
+    def test_scenario_field_of_wrong_type_rejected(self, field, value, message):
+        d = wavy_cfg().to_dict() | {field: value}
+        with pytest.raises(InvalidArgumentError) as exc:
+            ScenarioConfig.from_dict(d)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("gyro_arw", True, "gyro_arw must be a number, got True"),
+        ("gyro_arw", "5", "gyro_arw must be a number, got '5'"),
+        ("accel_bias", "5", "accel_bias must be a number, got '5'"),
+    ])
+    def test_sensor_field_of_wrong_type_rejected(self, field, value, message):
+        with pytest.raises(InvalidArgumentError) as exc:
+            SensorSpec.from_dict(DEFAULT_SENSORS.to_dict() | {field: value})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("d, message", [
+        ({"name": "a", "duration": 1.0}, "missing scenario field(s) ['lat', 'lon', 'psi0']"),
+        (["a"], "scenario fields must be an object, got ['a']"),
+    ])
+    def test_scenario_record_shape_rejected(self, d, message):
+        with pytest.raises(InvalidArgumentError) as exc:
+            ScenarioConfig.from_dict(d)
+        assert str(exc.value) == message
+
 
 class TestScenarioBank:
     def test_bank_shape(self):

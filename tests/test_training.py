@@ -241,7 +241,7 @@ class TestTrainLoop:
         ("gamma", float("nan"), "gamma must be finite, got nan"),
         ("betas", (1.0, 0.999), "beta1 must be in [0, 1), got 1.0"),
         ("betas", (0.9, -0.1), "beta2 must be in [0, 1), got -0.1"),
-        ("betas", (0.9, float("inf")), "beta2 must be finite, got inf"),
+        ("betas", (0.9, float("inf")), "betas[1] must be finite, got inf"),
         ("eps", 0.0, "eps must be > 0, got 0.0"),
         ("eps", "tiny", "eps must be a number, got 'tiny'"),
         ("scheduler_step", 0, "epochs must be >= 0, batch >= 1 and scheduler_step >= 1"),
@@ -253,6 +253,12 @@ class TestTrainLoop:
         ("batch", 2.5, "batch must be an integer, got 2.5"),
         ("batch", False, "batch must be an integer, got False"),
         ("scheduler_step", 1.5, "scheduler_step must be an integer, got 1.5"),
+        ("lr", "0.001", "lr must be a number, got '0.001'"),
+        ("lr", True, "lr must be a number, got True"),
+        ("betas", (0.9,), "betas must be a list of 2 entries, got (0.9,)"),
+        ("betas", (0.9, "0.999"), "betas[1] must be a number, got '0.999'"),
+        ("momentum", 0.9, "unknown train field(s) ['momentum']; expected ['epochs', 'loss_scale', 'lr', "
+                          "'weight_decay', 'scheduler_step', 'seed', 'batch', 'gamma', 'betas', 'eps']"),
     ])
     def test_config_rejects_out_of_range_field(self, field, value, message):
         with pytest.raises(InvalidArgumentError) as exc:
