@@ -393,7 +393,8 @@ class AlignWindow:
     window is half-open, ``[t0, t0 + t_align)``.  The frame tracks are
     integrated on first use and the observation series are built once per
     form; the cached arrays are read-only, because every method reads the
-    same ones.
+    same ones.  :meth:`head` cuts a shorter window from this one that
+    shares them.
 
     Raises
     ------
@@ -420,12 +421,42 @@ class AlignWindow:
             raise InsufficientDataError(
                 f"aiding data ends at {self.aid.t[-1]:.2f}s, window needs {t_end - aid_dt:.2f}s"
             )
+        self._parent: AlignWindow | None = None
         self._observations: dict[bool, ObservationSeries] = {}
+
+    def head(self, t_align: float) -> "AlignWindow":
+        """The first ``t_align`` seconds of this window: the streams that
+        ``AlignWindow(self, t_align)`` cuts, whose frame tracks and
+        observation series are read-only prefixes of this window's.
+
+        The prefixes are what a fresh cut would build, bit for bit: the
+        frame-track scan, the coning term, the trapezoidal sums and the
+        aiding-to-body pairing all give sample k a value that does not
+        depend on later samples.  The head builds none of them itself;
+        its first use builds this window's, and a fault in building them
+        is raised by the head too.
+
+        Raises
+        ------
+        InvalidArgumentError
+            If ``t_align`` is longer than this window, or fails the
+            checks of :class:`AlignWindow`.
+        """
+        if t_align > self.t_align:  # False for NaN, which the constructor rejects
+            raise InvalidArgumentError(
+                f"a head of a {self.t_align:g} s window cannot be {t_align} s long"
+            )
+        head = AlignWindow(self, t_align)
+        head._parent = self
+        return head
 
     @cached_property
     def tracks(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
         """``(C^{b0}_b, C^{n0}_n)`` over the window, shapes ``(n_imu, 3, 3)``
         and ``(n_aid, 3, 3)``."""
+        if self._parent is not None:
+            body_track, nav_track = self._parent.tracks
+            return body_track[: len(self.imu)], nav_track[: len(self.aid)]
         body_track = integrate_body_frame(self.imu.t, self.imu.omega)
         nav_track = integrate_nav_frame(self.aid.t, self.aid.lat)
         _freeze(body_track, nav_track)
@@ -434,9 +465,13 @@ class AlignWindow:
     def observations(self, integrated: bool) -> ObservationSeries:
         """The integrated or the instantaneous observation series."""
         if integrated not in self._observations:
-            build = observation_integrated if integrated else observation_instantaneous
-            obs = build(self.imu, self.aid, *self.tracks)
-            _freeze(obs.u_b0, obs.u_n0)
+            if self._parent is not None:
+                whole, n = self._parent.observations(integrated), len(self.aid)
+                obs = ObservationSeries(whole.times[:n], whole.u_b0[:n], whole.u_n0[:n], whole.form)
+            else:
+                build = observation_integrated if integrated else observation_instantaneous
+                obs = build(self.imu, self.aid, *self.tracks)
+                _freeze(obs.u_b0, obs.u_n0)
             self._observations[integrated] = obs
         return self._observations[integrated]
 

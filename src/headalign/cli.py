@@ -58,7 +58,15 @@ def _load_scenarios(path: str) -> list[ScenarioConfig]:
         doc = doc["scenarios"] if "scenarios" in doc else [doc]
     if not isinstance(doc, list):
         raise InvalidArgumentError(f"{path} must hold a scenario object or {{'scenarios': [...]}}")
-    return [ScenarioConfig.from_dict(d) for d in doc]
+    scenarios = [ScenarioConfig.from_dict(d) for d in doc]
+    names = [cfg.name for cfg in scenarios]
+    for i, name in enumerate(names):
+        # each name becomes a directory under --out-dir; os.sep is "/" or "\\"
+        if name in ("", ".", "..") or any(c in name for c in ("/", "\\", "\0")):
+            raise InvalidArgumentError(f"name must be a plain directory name, got {name!r}")
+        if name in names[:i]:
+            raise InvalidArgumentError(f"name {name!r} is given to more than one scenario")
+    return scenarios
 
 
 def _load_sensors(arg: str) -> SensorSpec:

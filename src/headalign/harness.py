@@ -3,9 +3,14 @@ data model.
 
 Classical methods and neural variants are scored on identical
 non-overlapping window boundaries per recording; absolute heading errors
-are averaged per recording, then across recordings.  Each classical
-window is cut once per (recording, alignment time) and shared by every
-classical method, so its frame tracks are integrated once.
+are averaged per recording, then across recordings.  Eval windows of
+every alignment time start on whole seconds, so on one recording a
+shorter window often starts where a longer one does.  Each start is cut
+and integrated once, at the longest alignment time that starts there;
+every shorter window at that start is a head of it
+(:meth:`~headalign.aligners.AlignWindow.head`), whose frame tracks and
+observations are prefixes of the long window's, bit for bit.  Every
+window is shared by every classical method.
 """
 
 from __future__ import annotations
@@ -18,7 +23,12 @@ import numpy as np
 
 from .aligners import AlignMethod, AlignWindow, align_heading
 from .attitude import angle_diff
-from .errors import DegenerateAttitudeError, InsufficientDataError, InvalidArgumentError
+from .errors import (
+    DegenerateAttitudeError,
+    HeadAlignError,
+    InsufficientDataError,
+    InvalidArgumentError,
+)
 from .fields import check_entry
 from .nn.data import make_windows, window_starts
 from .nn.model import HeadingModel
@@ -118,16 +128,28 @@ def _rec_name(rec: Recording, i: int) -> str:
     return str(rec.meta.get("scenario", {}).get("name", f"rec{i}"))
 
 
-def _align_windows(rec: Recording, t_align: float) -> list[AlignWindow]:
+def _align_windows(rec: Recording, t_align: float, cut: dict[int, AlignWindow]) -> list[AlignWindow]:
     """The non-overlapping windows of one recording, on the exact
-    boundaries the neural evaluation uses, each cut once."""
+    boundaries the neural evaluation uses.  ``cut`` maps a start (whole
+    seconds) to the longer window cut there earlier, and a window at
+    that start is its head; any other window is cut from the recording
+    and entered in ``cut``."""
     t0 = float(rec.imu.t[0])
     imu_rate, _ = sample_rates(rec.meta)
     duration = len(rec.imu) / imu_rate
-    return [
-        AlignWindow(rec.slice_window(t0 + float(w), t0 + float(w) + t_align), t_align)
-        for w in window_starts(duration, t_align, "eval")
-    ]
+    windows = []
+    for w in window_starts(duration, t_align, "eval").tolist():
+        if w in cut:
+            windows.append(cut[w].head(t_align))
+            continue
+        win = AlignWindow(rec.slice_window(t0 + w, t0 + w + t_align), t_align)
+        # A start off the IMU grid (a rate that is not a whole number of
+        # Hz) may end a fresh cut at t0 + w + t_align before the window's
+        # own end; a head would not, so such a start shares nothing.
+        if win.imu.t[0] - (t0 + w) < 1e-7:
+            cut[w] = win
+        windows.append(win)
+    return windows
 
 
 def _classical_window_aes(
@@ -143,12 +165,12 @@ def _neural_window_aes(model: HeadingModel, rec: Recording, t_align: float) -> l
     return np.abs(np.degrees(angle_diff(model.predict(ws.x1, ws.x2), ws.y))).tolist()
 
 
-def _recording_aes(
-    rec: Recording, name: str, methods: list[str], T: float, models: dict[int, HeadingModel]
+def _cell_aes(
+    rec: Recording, name: str, methods: list[str], T: float,
+    models: dict[int, HeadingModel], windows: list[AlignWindow],
 ) -> dict[str, list[float]]:
     """Per-window absolute errors of every method scored at ``T`` on one
-    recording.  The classical windows live only for this call."""
-    windows = _align_windows(rec, float(T)) if set(methods) & set(CLASSICAL_METHODS) else []
+    recording, classical ones on ``windows``."""
     out = {}
     for method in methods:
         if method in CLASSICAL_METHODS:
@@ -167,6 +189,27 @@ def _recording_aes(
                 )
         out[method] = aes
     return out
+
+
+def _recording_cells(
+    rec: Recording, name: str, methods: list[str], t_aligns: list[float],
+    models: dict[int, HeadingModel],
+) -> dict[float, dict[str, list[float]] | HeadAlignError]:
+    """Every alignment time's :func:`_cell_aes` on one recording, or the
+    error that cell raised.  The longest alignment time runs first, so
+    that every window is integrated inside its own first
+    ``align_heading`` call and never inside a head's.  The windows live
+    only for this call."""
+    classical = bool(set(methods) & set(CLASSICAL_METHODS))
+    cut: dict[int, AlignWindow] = {}
+    cells = {}
+    for T in sorted(t_aligns, reverse=True):
+        try:
+            windows = _align_windows(rec, float(T), cut) if classical else []
+            cells[T] = _cell_aes(rec, name, methods, T, models, windows)
+        except HeadAlignError as exc:
+            cells[T] = exc
+    return cells
 
 
 def check_eval_args(methods: list[str], t_aligns: list[float], models: dict[int, HeadingModel]) -> None:
@@ -206,8 +249,10 @@ def evaluate(
     methods are skipped silently for alignment times other than their
     own variation.  A non-finite absolute error on any window raises
     :class:`DegenerateAttitudeError` naming the method, alignment time,
-    recording and window.  Rows are ordered by alignment time, then
-    method, then recording.
+    recording and window.  When several (alignment time, recording)
+    cells fail, the error raised is the first cell's in the order of
+    ``t_aligns``, then of ``recordings``.  Rows are ordered by alignment
+    time, then method, then recording.
     """
     models = models or {}
     check_eval_args(methods, t_aligns, models)
@@ -216,9 +261,13 @@ def evaluate(
 
     report = EvalReport()
     names = [_rec_name(rec, ri) for ri, rec in enumerate(recordings)]
+    cells = [_recording_cells(rec, name, methods, t_aligns, models)
+             for rec, name in zip(recordings, names)]
     for T in t_aligns:
-        per_rec = [_recording_aes(rec, name, methods, T, models)
-                   for rec, name in zip(recordings, names)]
+        per_rec = [by_T[T] for by_T in cells]
+        for by_method in per_rec:  # the first failing cell, alignment time outermost
+            if isinstance(by_method, HeadAlignError):
+                raise by_method
         for method in methods:
             for name, by_method in zip(names, per_rec):
                 if method in by_method:

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InsufficientDataError, InvalidArgumentError, RecordingFormatError
-from .strapdown import AidData, ImuData, require_finite, window_mask
+from .strapdown import AidData, ImuData, require_finite, window_range
 
 __all__ = ["TruthTrack", "Recording", "write_recording", "read_recording"]
 
@@ -100,8 +100,9 @@ class Recording:
         """Sub-recording over ``[t_start, t_end]`` (inclusive grid bounds)."""
         imu = self.imu.slice_window(t_start, t_end)
         aid = self.aid.slice_window(t_start, t_end)
-        m = window_mask(self.truth.t, t_start, t_end)
-        return Recording(imu, aid, TruthTrack(self.truth.t[m], self.truth.euler[m]), self.meta)
+        k = window_range(self.truth.t, t_start, t_end)
+        truth = TruthTrack(self.truth.t[k].copy(), self.truth.euler[k].copy())
+        return Recording(imu, aid, truth, self.meta)
 
 
 def _write_csv(path: str, header: str, table: NDArray[np.float64]) -> None:
@@ -116,7 +117,9 @@ def _split_lines(text: str) -> list[str]:
     file opened with ``newline=""`` splits them (``\n``, ``\r\n``,
     ``\r``).  ``str.splitlines`` would also split on ``\v``, ``\f``
     and ``\x1c``-``\x1e``."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines

@@ -40,10 +40,13 @@ EARTH_RATE = 7.292115e-5
 MAX_PAIRING_SKEW = 0.010
 
 
-def window_mask(t: NDArray[np.float64], t_start: float, t_end: float) -> NDArray[np.bool_]:
-    """Samples of ``t`` in ``[t_start, t_end]``, widened by 1e-9 s so that
-    grid times which rounding puts just outside a bound stay in."""
-    return (t >= t_start - 1e-9) & (t <= t_end + 1e-9)
+def window_range(t: NDArray[np.float64], t_start: float, t_end: float) -> slice:
+    """Samples of the increasing ``t`` in ``[t_start, t_end]``, widened by
+    1e-9 s so that grid times which rounding puts just outside a bound
+    stay in.  The ``slice_window`` methods copy the range: a window's
+    arrays are contiguous and independent of the stream they came from."""
+    return slice(int(np.searchsorted(t, t_start - 1e-9, "left")),
+                 int(np.searchsorted(t, t_end + 1e-9, "right")))
 
 
 def require_finite(what: str, **arrays: NDArray[np.float64]) -> None:
@@ -85,8 +88,8 @@ class ImuData:
         return self.t.size
 
     def slice_window(self, t_start: float, t_end: float) -> "ImuData":
-        m = window_mask(self.t, t_start, t_end)
-        return ImuData(self.t[m], self.omega[m], self.f[m])
+        k = window_range(self.t, t_start, t_end)
+        return ImuData(self.t[k].copy(), self.omega[k].copy(), self.f[k].copy())
 
 
 @dataclass
@@ -116,8 +119,9 @@ class AidData:
         return self.t.size
 
     def slice_window(self, t_start: float, t_end: float) -> "AidData":
-        m = window_mask(self.t, t_start, t_end)
-        return AidData(self.t[m], self.lat[m], self.lon[m], self.heading_gt[m])
+        k = window_range(self.t, t_start, t_end)
+        return AidData(self.t[k].copy(), self.lat[k].copy(), self.lon[k].copy(),
+                       self.heading_gt[k].copy())
 
 
 @dataclass

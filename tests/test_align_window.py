@@ -2,8 +2,9 @@
 sweep built on it.
 
 The engine must give every per-window estimate exactly (tolerance 0) what
-a fresh cut of the same window gives, while integrating each window once
-for all four classical methods.
+a fresh cut of the same window gives, while integrating each window start
+once for all four classical methods and every alignment time: a shorter
+window at a start is a head of the longest one there.
 """
 from __future__ import annotations
 
@@ -17,7 +18,13 @@ from headalign.errors import InsufficientDataError, InvalidArgumentError
 from headalign.harness import CLASSICAL_METHODS, evaluate
 from headalign.nn.data import window_starts
 from headalign.recording import sample_rates
-from headalign.simulate import DEFAULT_SENSORS, scenario_bank, simulate_recording
+from headalign.simulate import (
+    DEFAULT_SENSORS,
+    Oscillation,
+    ScenarioConfig,
+    scenario_bank,
+    simulate_recording,
+)
 
 
 @pytest.fixture(scope="module")
@@ -36,26 +43,53 @@ def _fresh_cut_aes(rec, method: AlignMethod, T: float) -> list[float]:
     ]
 
 
-@pytest.mark.parametrize("T", [10.0, 30.0])
-def test_harness_windows_equal_fresh_cuts(bank_120s, monkeypatch, T):
+def _evaluate_recording_aes(recs, methods, t_aligns, monkeypatch) -> dict:
+    """Run ``evaluate``; return its report and the per-window AEs of every
+    classical cell, keyed by (method, T), one list per recording."""
     seen = {}
     classical = harness._classical_window_aes
 
     def record(windows, method, t_align):
         aes = classical(windows, method, t_align)
-        seen.setdefault(method, []).append(aes)
+        seen.setdefault((method, t_align), []).append(aes)
         return aes
 
     monkeypatch.setattr(harness, "_classical_window_aes", record)
-    rep = evaluate(bank_120s, list(CLASSICAL_METHODS), [T])
-    for method in AlignMethod:
-        fresh = [_fresh_cut_aes(rec, method, T) for rec in bank_120s]
-        assert seen[method] == fresh  # exact: tolerance 0
-        rows = [r for r in rep.rows if r.method == method.value]
-        assert [r.mean_ae_deg for r in rows] == [float(np.mean(a)) for a in fresh]
+    return evaluate(recs, methods, t_aligns), seen
 
 
-def test_each_window_is_integrated_once_for_all_methods(clean_recording, monkeypatch):
+@pytest.mark.parametrize("t_aligns", [
+    pytest.param([10.0], id="10.0"),
+    pytest.param([30.0], id="30.0"),
+    pytest.param([10.0, 25.0, 60.0], id="some-starts-shared"),
+    pytest.param([30.0, 120.0, 10.0, 90.0, 60.0], id="unsorted"),
+])
+def test_harness_windows_equal_fresh_cuts(bank_120s, monkeypatch, t_aligns):
+    rep, seen = _evaluate_recording_aes(bank_120s, list(CLASSICAL_METHODS), t_aligns, monkeypatch)
+    for T in t_aligns:
+        for method in AlignMethod:
+            fresh = [_fresh_cut_aes(rec, method, T) for rec in bank_120s]
+            assert seen[method, T] == fresh  # exact: tolerance 0
+            rows = [r for r in rep.rows if r.method == method.value and r.t_align == T]
+            assert [r.mean_ae_deg for r in rows] == [float(np.mean(a)) for a in fresh]
+
+
+def test_windows_off_the_imu_grid_equal_fresh_cuts(monkeypatch):
+    # At 12.5 Hz an odd whole second is off the sample grid: the window at
+    # 7 s starts at 7.04 s, and a fresh 6.01 s cut ends at 13.01 s, before
+    # the 13.04 s sample that a head of the 7 s window would keep.
+    cfg = ScenarioConfig(name="odd", duration=60.0, lat=0.5, lon=0.6, psi0=1.0,
+                         heading_osc=(Oscillation(2.0, 35.0, 0.3),),
+                         imu_rate=12.5, aid_rate=12.5, seed=3)
+    rec = simulate_recording(cfg, DEFAULT_SENSORS)
+    _, seen = _evaluate_recording_aes([rec], ["I-OBA"], [7.0, 6.01], monkeypatch)
+    for T in (7.0, 6.01):
+        assert seen[AlignMethod.I_OBA, T] == [_fresh_cut_aes(rec, AlignMethod.I_OBA, T)]
+
+
+def _count_builds(monkeypatch) -> dict[str, int]:
+    """Count, from here on, every frame-track integration, observation
+    build and ``align_heading`` call that an evaluation makes."""
     calls = dict.fromkeys(
         ("integrate_body_frame", "integrate_nav_frame",
          "observation_integrated", "observation_instantaneous", "align_heading"), 0)
@@ -72,6 +106,11 @@ def test_each_window_is_integrated_once_for_all_methods(clean_recording, monkeyp
     for name in list(calls)[:4]:
         counted(aligners, name)
     counted(harness, "align_heading")
+    return calls
+
+
+def test_each_window_is_integrated_once_for_all_methods(clean_recording, monkeypatch):
+    calls = _count_builds(monkeypatch)
     rep = evaluate([clean_recording], list(CLASSICAL_METHODS), [30.0])
     windows = rep.rows[0].windows
     assert windows == 4  # 130 s holds four non-overlapping 30 s windows
@@ -80,6 +119,22 @@ def test_each_window_is_integrated_once_for_all_methods(clean_recording, monkeyp
         "integrate_nav_frame": windows,
         "observation_integrated": windows,
         "observation_instantaneous": windows,
+        "align_heading": 4 * windows,  # still one call per estimate
+    }
+
+
+def test_each_window_start_is_integrated_once_for_all_alignment_times(bank_120s, monkeypatch):
+    calls = _count_builds(monkeypatch)
+    rep = evaluate(bank_120s[:1], list(CLASSICAL_METHODS), [10.0, 30.0, 60.0, 90.0, 120.0])
+    windows = sum(r.windows for r in rep.rows if r.method == "I-OBA")
+    assert windows == 12 + 4 + 2 + 1 + 1
+    # starts 0..110 s: one window each, 120 s long at 0, 60 s at 60, 30 s at 30 and 90
+    starts = 12
+    assert calls == {
+        "integrate_body_frame": starts,
+        "integrate_nav_frame": starts,
+        "observation_integrated": starts,
+        "observation_instantaneous": starts,
         "align_heading": 4 * windows,  # still one call per estimate
     }
 
@@ -121,3 +176,33 @@ def test_cached_arrays_are_read_only(clean_recording):
     for a in (body, nav, obs.u_b0, obs.u_n0):
         with pytest.raises(ValueError):
             a[0, 0] = 0.0
+
+
+def test_head_holds_read_only_prefixes_of_the_windows_arrays(clean_recording):
+    win = AlignWindow(clean_recording, 120.0)
+    head = win.head(30.0)
+    fresh = AlignWindow(clean_recording, 30.0)
+    for mine, theirs in ((head.imu.t, fresh.imu.t), (head.imu.f, fresh.imu.f),
+                         (head.aid.t, fresh.aid.t), (head.aid.heading_gt, fresh.aid.heading_gt)):
+        assert np.array_equal(mine, theirs)
+    for mine, whole, theirs in zip(head.tracks, win.tracks, fresh.tracks):
+        assert np.shares_memory(mine, whole) and not mine.flags.writeable
+        assert np.array_equal(mine, theirs)  # exact: tolerance 0
+    for integrated in (True, False):
+        mine, whole = head.observations(integrated), win.observations(integrated)
+        theirs = fresh.observations(integrated)
+        for a, b, c in ((mine.u_b0, whole.u_b0, theirs.u_b0), (mine.u_n0, whole.u_n0, theirs.u_n0)):
+            assert np.shares_memory(a, b) and not a.flags.writeable
+            assert np.array_equal(a, c)
+        assert head.observations(integrated) is mine
+    for method in AlignMethod:
+        assert align_heading(head, method, 30.0) == align_heading(fresh, method, 30.0)
+
+
+def test_head_longer_than_its_window_raises(clean_recording):
+    win = AlignWindow(clean_recording, 30.0)
+    with pytest.raises(InvalidArgumentError, match="head of a 30 s window"):
+        win.head(60.0)
+    for bad in (1.0, float("nan")):
+        with pytest.raises(InvalidArgumentError):
+            win.head(bad)

@@ -278,6 +278,20 @@ def test_simulate_config_rejects_field_of_wrong_type(scenario_file, tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name", ["", ".", "..", "../esc", "a/b", "a\\b", "a\0b"])
+def test_simulate_config_rejects_name_that_is_no_directory(scenario_file, tmp_path, capsys, name):
+    config = _json_file(tmp_path, "bad.json", json.load(open(scenario_file)) | {"name": name})
+    assert _simulate_fails(tmp_path, capsys, config) == (
+        f"name must be a plain directory name, got {name!r}")
+    assert sorted(os.listdir(tmp_path)) == ["bad.json"]  # nothing beside --out-dir either
+
+
+def test_simulate_config_rejects_repeated_name(scenario_file, tmp_path, capsys):
+    doc = json.load(open(scenario_file))
+    config = _json_file(tmp_path, "bad.json", {"scenarios": [doc, doc | {"seed": 12}]})
+    assert _simulate_fails(tmp_path, capsys, config) == "name 'dock' is given to more than one scenario"
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("gyro_arw", True, "gyro_arw must be a number, got True"),
     ("accel_bias", "5", "accel_bias must be a number, got '5'"),

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import headalign.harness as harness
-from headalign.errors import HeadAlignError, InsufficientDataError, InvalidArgumentError
+from headalign.errors import (
+    DegenerateAttitudeError,
+    HeadAlignError,
+    InsufficientDataError,
+    InvalidArgumentError,
+)
 from headalign.harness import EvalReport, evaluate, nn_method_name
 from headalign.nn.data import make_windows
 from headalign.nn.model import build_headingnet
@@ -169,3 +176,32 @@ def test_recording_too_short_for_window(clean_recording):
     short = clean_recording.slice_window(0.0, 20.0)
     with pytest.raises(InsufficientDataError):
         evaluate([short], ["I-OBA"], [30.0])
+
+
+def _named(rec, name: str):
+    return dataclasses.replace(rec, meta={**rec.meta, "scenario": {**rec.meta["scenario"], "name": name}})
+
+
+def test_recording_too_short_first_by_alignment_time(clean_recording):
+    # 'a' holds a 110 s window but no 120 s one, 'b' holds neither
+    a = _named(clean_recording.slice_window(0.0, 115.0), "a")
+    b = _named(clean_recording.slice_window(0.0, 100.0), "b")
+    with pytest.raises(InsufficientDataError, match=r"^recording b too short for t_align=110.0$"):
+        evaluate([a, b], ["I-OBA"], [110.0, 120.0])
+
+
+def test_non_finite_error_first_by_alignment_time(clean_recording, noisy_recording, monkeypatch):
+    on_b = {row.tobytes() for row in noisy_recording.imu.omega}
+    align = harness.align_heading
+
+    def nan_on_a_at_60s_and_b_at_30s(win, method, t_align):
+        est = align(win, method, t_align)
+        if (t_align, win.imu.omega[0].tobytes() in on_b) in ((60.0, False), (30.0, True)):
+            est.ae_deg = float("nan")
+        return est
+
+    monkeypatch.setattr(harness, "align_heading", nan_on_a_at_60s_and_b_at_30s)
+    recs = [_named(clean_recording, "a"), _named(noisy_recording, "b")]
+    with pytest.raises(DegenerateAttitudeError, match=(
+            r"^I-OBA at t_align=30 s gave a non-finite absolute error on recording b, window 0$")):
+        evaluate(recs, ["I-OBA"], [30.0, 60.0])

@@ -330,3 +330,24 @@ def test_aid_data_validation():
         cols[name][1] = np.nan
         with pytest.raises(InvalidArgumentError, match=f"aiding {name} is not finite at sample 1"):
             AidData(np.array([0.0, 0.2, 0.4]), **cols)
+
+
+def test_slice_window_equals_the_boolean_mask_cut():
+    """``slice_window`` takes a searchsorted range where it once took a
+    boolean mask; it must keep exactly (tolerance 0) the same samples,
+    bounds widened by 1e-9 s included, and hand out contiguous copies."""
+    n = 1200
+    t = np.arange(n) / 100.0 + 3.0  # grid times with rounding in their last bits
+    rng = np.random.default_rng(5)
+    imu = ImuData(t, rng.normal(size=(n, 7))[:, 1:4], rng.normal(size=(n, 3)))  # strided omega
+    aid = AidData(t[::20], rng.normal(size=n // 20) * 0.1, np.zeros(n // 20), np.zeros(n // 20))
+    bounds = [(3.0, 4.0), (3.1, 7.3 - 1e-6), (5.0 + 1e-9, 5.05), (5.0 + 2e-9, 5.2),
+              (5.2, 5.0), (-1.0, 0.5), (14.0, 20.0), (2.0, 99.0)]
+    for t_start, t_end in bounds:
+        for stream, columns in ((imu, ("t", "omega", "f")), (aid, ("t", "lat", "lon", "heading_gt"))):
+            m = (stream.t >= t_start - 1e-9) & (stream.t <= t_end + 1e-9)
+            cut = stream.slice_window(t_start, t_end)
+            for name in columns:
+                got, whole = getattr(cut, name), getattr(stream, name)
+                assert np.array_equal(got, whole[m]), (t_start, t_end, name)
+                assert got.flags.c_contiguous and not np.shares_memory(got, whole)
