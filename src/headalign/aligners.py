@@ -13,10 +13,10 @@ Both estimators recover the constant frozen-frame attitude
 frame-track recomposition ``C^n_b = C^n_{n0} C^{n0}_{b0} C^{b0}_b``.
 
 :class:`AlignWindow` is the one window engine behind every method: it
-cuts the half-open window once, integrates its body and nav frame tracks
-once, and builds each observation form once.  All four methods share
-what they have in common, so scoring them on one window costs one track
-pair and two observation series, not four of each.
+cuts its window of :func:`~headalign.recording.window_grid` once,
+integrates its body and nav frame tracks once, and builds each
+observation form once, so scoring all four methods on one window costs
+one track pair and two observation series, not four of each.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .errors import (
     InsufficientDataError,
     InvalidArgumentError,
 )
+from .recording import WindowGrid, window_grid
 from .strapdown import (
     ObservationSeries,
     integrate_body_frame,
@@ -385,56 +386,59 @@ def _dva_indices(obs: ObservationSeries, fractions: tuple[float, float]) -> tupl
 
 
 class AlignWindow:
-    """The first ``t_align`` seconds of a recording, cut once and shared
-    by every classical method.
+    """One window of :func:`~headalign.recording.window_grid`, cut once
+    and shared by every classical method.
 
-    ``rec`` is any object with ``imu`` (:class:`~headalign.strapdown.ImuData`)
-    and ``aid`` (:class:`~headalign.strapdown.AidData`) attributes.  The
-    window is half-open, ``[t0, t0 + t_align)``.  The frame tracks are
-    integrated on first use and the observation series are built once per
-    form; the cached arrays are read-only, because every method reads the
-    same ones.  :meth:`head` cuts a shorter window from this one that
-    shares them.
+    ``AlignWindow(rec, t_align)`` is the first window of ``rec``'s grid,
+    where ``rec`` is any object with ``imu``
+    (:class:`~headalign.strapdown.ImuData`) and ``aid``
+    (:class:`~headalign.strapdown.AidData`) streams; :meth:`from_grid`
+    cuts any window of a grid.  The frame tracks are integrated on first
+    use and the observation series are built once per form; the cached
+    arrays are read-only, because every method reads the same ones.
+    :meth:`head` cuts a shorter window from this one that shares them.
 
     Raises
     ------
     InvalidArgumentError
-        If ``t_align`` is not finite or shorter than 2 s.
+        If ``t_align`` is not finite, shorter than 2 s or than 2 aiding
+        samples.
     InsufficientDataError
-        If either stream has fewer than 2 samples in the window or the
-        aiding data stops short of its end.
+        If ``rec`` holds no window.
     """
 
     def __init__(self, rec, t_align: float):
-        if not np.isfinite(t_align) or t_align < 2.0:
-            raise InvalidArgumentError(f"alignment window must be finite and >= 2 s, got {t_align}")
-        self.t_align = float(t_align)
-        t0 = float(rec.imu.t[0])
-        t_end = t0 + self.t_align
-        # half-open window: a sample on the grid at exactly t_end stays out
-        self.imu = rec.imu.slice_window(t0, t_end - 1e-6)
-        self.aid = rec.aid.slice_window(t0, t_end - 1e-6)
-        if len(self.imu) < 2 or len(self.aid) < 2:
+        grid = window_grid(rec, t_align, "eval")
+        if not grid.starts.size:
             raise InsufficientDataError("recording too short for the requested window")
-        aid_dt = float(np.median(np.diff(self.aid.t)))
-        if self.aid.t[-1] < t_end - 1.5 * aid_dt - 1e-9:
-            raise InsufficientDataError(
-                f"aiding data ends at {self.aid.t[-1]:.2f}s, window needs {t_end - aid_dt:.2f}s"
-            )
+        self._cut(rec, grid, int(grid.aid_start[0]))
+
+    @classmethod
+    def from_grid(cls, rec, grid: WindowGrid, j0: int) -> "AlignWindow":
+        """The window of ``grid``, made from ``rec``, whose first aiding
+        sample is ``j0``."""
+        win = cls.__new__(cls)
+        win._cut(rec, grid, j0)
+        return win
+
+    def _cut(self, rec, grid: WindowGrid, j0: int) -> None:
+        if grid.t_align < 2.0 or grid.width < 2:
+            raise InvalidArgumentError(f"alignment window must last >= 2 s and hold >= 2 aiding "
+                                       f"samples; a {grid.t_align:g} s window holds {grid.width}")
+        self.t_align, k, j1 = grid.t_align, grid.ratio, j0 + grid.width
+        self.imu, self.aid = rec.imu[k * j0 : k * j1], rec.aid[j0:j1]
         self._parent: AlignWindow | None = None
         self._observations: dict[bool, ObservationSeries] = {}
 
     def head(self, t_align: float) -> "AlignWindow":
-        """The first ``t_align`` seconds of this window: the streams that
-        ``AlignWindow(self, t_align)`` cuts, whose frame tracks and
-        observation series are read-only prefixes of this window's.
-
-        The prefixes are what a fresh cut would build, bit for bit: the
-        frame-track scan, the coning term, the trapezoidal sums and the
-        aiding-to-body pairing all give sample k a value that does not
-        depend on later samples.  The head builds none of them itself;
-        its first use builds this window's, and a fault in building them
-        is raised by the head too.
+        """The first ``t_align`` seconds of this window: the grid window of
+        ``t_align`` at the same start, whose frame tracks and observation
+        series are read-only prefixes of this window's.  They are what a
+        fresh cut would build, bit for bit: the frame-track scan, the
+        coning term, the trapezoidal sums and the aiding-to-body pairing
+        all give sample k a value that does not depend on later samples.
+        The head builds none of them itself; its first use builds this
+        window's, and a fault in building them is raised by the head too.
 
         Raises
         ------
@@ -442,11 +446,11 @@ class AlignWindow:
             If ``t_align`` is longer than this window, or fails the
             checks of :class:`AlignWindow`.
         """
-        if t_align > self.t_align:  # False for NaN, which the constructor rejects
+        if t_align > self.t_align:  # False for NaN, which the grid rejects
             raise InvalidArgumentError(
                 f"a head of a {self.t_align:g} s window cannot be {t_align} s long"
             )
-        head = AlignWindow(self, t_align)
+        head = AlignWindow.from_grid(self, window_grid(self, t_align, "eval"), 0)
         head._parent = self
         return head
 

@@ -1,16 +1,13 @@
 """Evaluation sweeps over methods and alignment times, plus the report
 data model.
 
-Classical methods and neural variants are scored on identical
-non-overlapping window boundaries per recording; absolute heading errors
-are averaged per recording, then across recordings.  Eval windows of
-every alignment time start on whole seconds, so on one recording a
-shorter window often starts where a longer one does.  Each start is cut
-and integrated once, at the longest alignment time that starts there;
-every shorter window at that start is a head of it
-(:meth:`~headalign.aligners.AlignWindow.head`), whose frame tracks and
-observations are prefixes of the long window's, bit for bit.  Every
-window is shared by every classical method.
+Classical methods and neural variants score the same windows, those of
+:func:`~headalign.recording.window_grid`; absolute heading errors are
+averaged per recording, then across recordings.  On one recording each
+window start is cut and integrated once, at the longest alignment time
+that starts there, and every shorter window there is a head of it
+(:meth:`~headalign.aligners.AlignWindow.head`).  Every window is shared
+by every classical method.
 """
 
 from __future__ import annotations
@@ -30,9 +27,9 @@ from .errors import (
     InvalidArgumentError,
 )
 from .fields import check_entry
-from .nn.data import make_windows, window_starts
+from .nn.data import make_windows
 from .nn.model import HeadingModel
-from .recording import Recording, sample_rates
+from .recording import Recording, window_grid, window_starts
 
 __all__ = ["EvalRow", "EvalReport", "check_eval_args", "evaluate", "nn_method_name"]
 
@@ -129,27 +126,14 @@ def _rec_name(rec: Recording, i: int) -> str:
 
 
 def _align_windows(rec: Recording, t_align: float, cut: dict[int, AlignWindow]) -> list[AlignWindow]:
-    """The non-overlapping windows of one recording, on the exact
-    boundaries the neural evaluation uses.  ``cut`` maps a start (whole
-    seconds) to the longer window cut there earlier, and a window at
-    that start is its head; any other window is cut from the recording
-    and entered in ``cut``."""
-    t0 = float(rec.imu.t[0])
-    imu_rate, _ = sample_rates(rec.meta)
-    duration = len(rec.imu) / imu_rate
-    windows = []
-    for w in window_starts(duration, t_align, "eval").tolist():
-        if w in cut:
-            windows.append(cut[w].head(t_align))
-            continue
-        win = AlignWindow(rec.slice_window(t0 + w, t0 + w + t_align), t_align)
-        # A start off the IMU grid (a rate that is not a whole number of
-        # Hz) may end a fresh cut at t0 + w + t_align before the window's
-        # own end; a head would not, so such a start shares nothing.
-        if win.imu.t[0] - (t0 + w) < 1e-7:
-            cut[w] = win
-        windows.append(win)
-    return windows
+    """The eval windows of one recording at ``t_align``.  ``cut`` maps a
+    window's first aiding sample to the longer window cut there earlier,
+    and a window there is its head; any other window is cut from the
+    recording and entered in ``cut``."""
+    grid = window_grid(rec, t_align, "eval")
+    return [cut[j0].head(t_align) if j0 in cut
+            else cut.setdefault(j0, AlignWindow.from_grid(rec, grid, j0))
+            for j0 in grid.aid_start.tolist()]
 
 
 def _classical_window_aes(
@@ -167,18 +151,22 @@ def _neural_window_aes(model: HeadingModel, rec: Recording, t_align: float) -> l
 
 def _cell_aes(
     rec: Recording, name: str, methods: list[str], T: float,
-    models: dict[int, HeadingModel], windows: list[AlignWindow],
+    models: dict[int, HeadingModel], cut: dict[int, AlignWindow],
 ) -> dict[str, list[float]]:
     """Per-window absolute errors of every method scored at ``T`` on one
-    recording, classical ones on ``windows``."""
+    recording, classical ones on :func:`_align_windows` of ``cut``.  An
+    error raised while scoring keeps its class and names the cell."""
     out = {}
-    for method in methods:
-        if method in CLASSICAL_METHODS:
-            aes = _classical_window_aes(windows, AlignMethod(method), float(T))
-        elif method == nn_method_name(T):
-            aes = _neural_window_aes(models[int(T)], rec, float(T))
-        else:
-            continue
+    try:
+        windows = _align_windows(rec, float(T), cut) if set(methods) & set(CLASSICAL_METHODS) else []
+        for method in methods:
+            if method in CLASSICAL_METHODS:
+                out[method] = _classical_window_aes(windows, AlignMethod(method), float(T))
+            elif method == nn_method_name(T):
+                out[method] = _neural_window_aes(models[int(T)], rec, float(T))
+    except HeadAlignError as exc:
+        raise type(exc)(f"recording {name} at t_align={T:g} s: {exc}") from exc
+    for method, aes in out.items():
         if not aes:
             raise InsufficientDataError(f"recording {name} too short for t_align={T}")
         for k, ae in enumerate(aes):
@@ -187,7 +175,6 @@ def _cell_aes(
                     f"{method} at t_align={T:g} s gave a non-finite absolute error "
                     f"on recording {name}, window {k}"
                 )
-        out[method] = aes
     return out
 
 
@@ -200,13 +187,11 @@ def _recording_cells(
     that every window is integrated inside its own first
     ``align_heading`` call and never inside a head's.  The windows live
     only for this call."""
-    classical = bool(set(methods) & set(CLASSICAL_METHODS))
     cut: dict[int, AlignWindow] = {}
     cells = {}
     for T in sorted(t_aligns, reverse=True):
         try:
-            windows = _align_windows(rec, float(T), cut) if classical else []
-            cells[T] = _cell_aes(rec, name, methods, T, models, windows)
+            cells[T] = _cell_aes(rec, name, methods, T, models, cut)
         except HeadAlignError as exc:
             cells[T] = exc
     return cells

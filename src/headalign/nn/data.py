@@ -1,13 +1,14 @@
 """Sliding-window dataset assembly.
 
-A window covers ``[w, w + t_align)`` seconds of one recording and yields
-two 6-row images plus a label:
+A window is one range of :func:`~headalign.recording.window_grid`, the
+grid the classical methods score on too, and yields two 6-row images
+plus a label:
 
 - branch-1 input: gyro and accelerometer rows at the IMU rate, mean-pooled
   down to the aiding rate (rows: wx, wy, wz, fx, fy, fz);
 - branch-2 input: navigation-frame reference rows at the aiding rate
   (rows: Earth-rate N/E/D, gravity N/E/D, from the measured latitude);
-- label: the last aiding heading inside the window.
+- label: the heading at the window's last aiding sample.
 
 Training windows slide with a 1 s stride and are shuffled; evaluation
 windows are non-overlapping and kept in order.
@@ -18,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from ..errors import InsufficientDataError, InvalidArgumentError
-from ..recording import Recording, sample_rates
+from ..recording import Recording, WindowGrid, window_grid, window_starts
 from ..rng import stream
 from ..strapdown import earth_rate_nav, gravity_nav
 from .layers import avgpool_rate_match
@@ -53,19 +55,14 @@ def _nav_rows(aid) -> Array:
     return np.concatenate([earth_rate_nav(aid.lat).T, gravity_nav(aid.lat).T])
 
 
-def window_starts(duration: float, t_align: float, mode: str) -> np.ndarray:
-    """Whole-second window start offsets: stride 1 s for train, stride
-    ``ceil(t_align)`` for eval, so that eval windows never overlap.  Every
-    window ends within ``duration``.  ``t_align`` must be finite and
-    positive."""
-    if not (np.isfinite(t_align) and t_align > 0):
-        raise InvalidArgumentError(f"window length must be finite and > 0 s, got {t_align}")
-    if mode == "train":
-        last = int(np.floor(duration - t_align + 1e-9))
-        return np.arange(0, last + 1)
-    step = int(np.ceil(t_align))
-    n = int(np.floor((duration - t_align) / step + 1e-9)) + 1
-    return np.arange(0, n) * step
+def _gather(rows: list[Array], grids: list[WindowGrid]) -> Array:
+    """The ``(n, 1, 6, W)`` windows of every grid, cut from its
+    recording's ``(6, m)`` rows by one index into all the rows joined end
+    to end.  The joined copy is C-ordered, and so is the gather."""
+    offsets = np.cumsum([0] + [r.shape[1] for r in rows[:-1]])
+    joined = np.ascontiguousarray(np.concatenate(rows, axis=1))
+    every = sliding_window_view(joined, grids[0].width, axis=1).transpose(1, 0, 2)
+    return every[np.concatenate([g.aid_start + o for g, o in zip(grids, offsets)])][:, None]
 
 
 def make_windows(
@@ -74,53 +71,38 @@ def make_windows(
     mode: str,
     seed: int = 0,
 ) -> WindowSet:
-    """Cut every recording into windows for one alignment time.
+    """Cut every recording into the windows of its
+    :func:`~headalign.recording.window_grid` at one alignment time.
 
-    Window starts are whole seconds; a recording must cover at least one
-    full window.  In train mode per-row mean/std over the produced set
-    are attached as ``stats`` (rows with zero spread get std 1.0).
+    Every recording must hold at least one window, and all of them the
+    same window width.  In train mode per-row mean/std over the produced
+    set are attached as ``stats`` (rows with zero spread get std 1.0).
     """
-    if mode not in ("train", "eval"):
-        raise InvalidArgumentError(f"mode must be 'train' or 'eval', got {mode!r}")
+    window_starts(0.0, t_align, mode)  # rejects a bad mode or window length
     if not recordings:
         raise InsufficientDataError("no recordings supplied")
 
-    x1_all, x2_all, y_all, idx_all, t0_all = [], [], [], [], []
-    for ri, rec in enumerate(recordings):
-        imu_rate, aid_rate = sample_rates(rec.meta)
-        k = int(round(imu_rate / aid_rate))
-        n_imu = len(rec.imu)
-        duration = n_imu / imu_rate
-        starts = window_starts(duration, t_align, mode)
-        if duration + 1e-9 < t_align:
-            raise InsufficientDataError(
-                f"recording {ri} covers {duration:.1f} s < window {t_align:.1f} s"
+    grids = [window_grid(rec, t_align, mode) for rec in recordings]
+    for ri, grid in enumerate(grids):
+        if not grid.starts.size:
+            raise InsufficientDataError(f"recording {ri} is too short for a {t_align:g} s window")
+        if grid.width != grids[0].width:
+            raise InvalidArgumentError(
+                f"recordings 0 and {ri} give {grids[0].width} and {grid.width} aiding samples "
+                f"per {t_align:g} s window; one window set needs one width"
             )
 
-        width = int(round(aid_rate * t_align))
+    pooled, nav = [], []
+    for rec, grid in zip(recordings, grids):
+        k, n_imu = grid.ratio, len(rec.imu)
         body = np.concatenate([rec.imu.omega.T, rec.imu.f.T], axis=0)
-        pooled = avgpool_rate_match(body[:, : (n_imu // k) * k], k)
-        nav = _nav_rows(rec.aid)
-
-        for w in starts:
-            j0 = int(round(w * aid_rate))
-            j1 = j0 + width
-            if j1 > pooled.shape[1] or j1 > nav.shape[1]:
-                continue
-            x1_all.append(pooled[:, j0:j1])
-            x2_all.append(nav[:, j0:j1])
-            y_all.append(rec.aid.heading_gt[j1 - 1])
-            idx_all.append(ri)
-            t0_all.append(rec.imu.t[0] + float(w))
-
-    if not y_all:
-        raise InsufficientDataError("no windows produced")
-
-    x1 = np.asarray(x1_all)[:, None, :, :]
-    x2 = np.asarray(x2_all)[:, None, :, :]
-    y = np.asarray(y_all)
-    rec_index = np.asarray(idx_all, dtype=np.int64)
-    t_start = np.asarray(t0_all)
+        pooled.append(avgpool_rate_match(body[:, : (n_imu // k) * k], k))
+        nav.append(_nav_rows(rec.aid))
+    x1, x2 = _gather(pooled, grids), _gather(nav, grids)
+    pairs = list(zip(recordings, grids))
+    y = np.concatenate([rec.aid.heading_gt[g.aid_start + g.width - 1] for rec, g in pairs])
+    rec_index = np.repeat(np.arange(len(recordings), dtype=np.int64), [g.starts.size for g in grids])
+    t_start = np.concatenate([rec.imu.t[0] + g.starts for rec, g in pairs])
 
     stats = None
     if mode == "train":

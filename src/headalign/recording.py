@@ -25,14 +25,16 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InsufficientDataError, InvalidArgumentError, RecordingFormatError
-from .strapdown import AidData, ImuData, require_finite, window_range
+from .strapdown import AidData, ImuData, _Stream, require_finite
 
-__all__ = ["TruthTrack", "Recording", "write_recording", "read_recording"]
+__all__ = ["TruthTrack", "Recording", "WindowGrid", "read_recording", "window_grid",
+           "window_starts", "write_recording"]
 
 FORMAT_VERSION = "1"
 
@@ -51,8 +53,73 @@ def sample_rates(meta: dict) -> tuple[float, float]:
     return float(scenario.get("imu_rate", 100.0)), float(scenario.get("aid_rate", 5.0))
 
 
+def window_starts(duration: float, t_align: float, mode: str) -> np.ndarray:
+    """Whole-second window start offsets: stride 1 s for ``"train"``,
+    stride ``ceil(t_align)`` for ``"eval"``, so that eval windows never
+    overlap.  Every window ends within ``duration``.  ``t_align`` must be
+    finite and positive; any other mode raises."""
+    if mode not in ("train", "eval"):
+        raise InvalidArgumentError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if not (np.isfinite(t_align) and t_align > 0):
+        raise InvalidArgumentError(f"window length must be finite and > 0 s, got {t_align}")
+    if mode == "train":
+        last = int(np.floor(duration - t_align + 1e-9))
+        return np.arange(0, last + 1)
+    step = int(np.ceil(t_align))
+    n = int(np.floor((duration - t_align) / step + 1e-9)) + 1
+    return np.arange(0, n) * step
+
+
+class WindowGrid(NamedTuple):
+    """:func:`window_grid`'s windows: offsets ``starts`` (w), first aiding
+    samples ``aid_start`` (j0), ``width`` (W) and ``ratio`` (k)."""
+
+    t_align: float
+    starts: NDArray[np.int64]
+    aid_start: NDArray[np.intp]
+    width: int
+    ratio: int
+
+
+def window_grid(rec, t_align: float, mode: str) -> WindowGrid:
+    """The windows of ``rec`` at ``t_align`` in ``mode`` as index ranges:
+    the one window rule of the classical and the neural methods.
+
+    ``rec`` has ``imu`` and ``aid`` streams, aiding sample j being IMU
+    sample k·j.  The rates are :func:`sample_rates` of ``rec.meta``, or
+    the streams' own spacing when ``rec`` has no ``meta``; k = imu_rate /
+    aid_rate, and t0 is the first IMU time.
+
+    - start: j0 is the first aiding sample at or after t0 + w, for each w
+      of :func:`window_starts` (duration = IMU samples / imu_rate);
+    - width: W = ⌊aid_rate · t_align⌋ aiding samples in every window.
+      Each sample of [j0, j0 + W) lies in [t0 + w, t0 + w + t_align), so
+      no two eval windows share one;
+    - IMU range: [k·j0, k·(j0 + W)); truth and label: aiding sample j0 + W − 1.
+
+    A window that runs past either stream is left out.  At 100/5 Hz with
+    5·t_align whole, a window is exactly the samples of [t0 + w, t0 + w +
+    t_align).  A bad mode or ``t_align``, or one shorter than an aiding
+    interval, raises :class:`InvalidArgumentError`.
+    """
+    if getattr(rec, "meta", None) is None:
+        if min(len(rec.imu), len(rec.aid)) < 2:
+            raise InsufficientDataError("a stream needs 2 samples to give its rate")
+        imu_rate, aid_rate = ((len(s) - 1) / float(s.t[-1] - s.t[0]) for s in (rec.imu, rec.aid))
+    else:
+        imu_rate, aid_rate = sample_rates(rec.meta)
+    starts = window_starts(len(rec.imu) / imu_rate, t_align, mode)
+    width = int(np.floor(aid_rate * t_align + 1e-9))
+    if width < 1:
+        raise InvalidArgumentError(f"a {t_align:g} s window holds no aiding sample at {aid_rate:g} Hz")
+    ratio = int(round(imu_rate / aid_rate))
+    aid_start = np.searchsorted(rec.aid.t, rec.imu.t[0] + starts - 1e-9, "left")
+    fits = aid_start + width <= min(len(rec.aid), len(rec.imu) // ratio)
+    return WindowGrid(float(t_align), starts[fits], aid_start[fits], width, ratio)
+
+
 @dataclass
-class TruthTrack:
+class TruthTrack(_Stream):
     """Dense ground-truth attitude at IMU rate: Euler angles in radians,
     columns (roll, pitch, yaw)."""
 
@@ -65,9 +132,6 @@ class TruthTrack:
         if self.euler.shape != (self.t.size, 3):
             raise InvalidArgumentError("euler must be (n, 3) matching t")
         require_finite("truth", t=self.t, euler=self.euler)
-
-    def __len__(self) -> int:
-        return self.t.size
 
     @property
     def heading(self) -> NDArray[np.float64]:
@@ -98,10 +162,7 @@ class Recording:
 
     def slice_window(self, t_start: float, t_end: float) -> "Recording":
         """Sub-recording over ``[t_start, t_end]`` (inclusive grid bounds)."""
-        imu = self.imu.slice_window(t_start, t_end)
-        aid = self.aid.slice_window(t_start, t_end)
-        k = window_range(self.truth.t, t_start, t_end)
-        truth = TruthTrack(self.truth.t[k].copy(), self.truth.euler[k].copy())
+        imu, aid, truth = (s.slice_window(t_start, t_end) for s in (self.imu, self.aid, self.truth))
         return Recording(imu, aid, truth, self.meta)
 
 

@@ -12,7 +12,7 @@ or instantaneously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -43,8 +43,7 @@ MAX_PAIRING_SKEW = 0.010
 def window_range(t: NDArray[np.float64], t_start: float, t_end: float) -> slice:
     """Samples of the increasing ``t`` in ``[t_start, t_end]``, widened by
     1e-9 s so that grid times which rounding puts just outside a bound
-    stay in.  The ``slice_window`` methods copy the range: a window's
-    arrays are contiguous and independent of the stream they came from."""
+    stay in."""
     return slice(int(np.searchsorted(t, t_start - 1e-9, "left")),
                  int(np.searchsorted(t, t_end + 1e-9, "right")))
 
@@ -66,8 +65,25 @@ def _latitude(lat: ArrayLike) -> NDArray[np.float64]:
     return lat
 
 
+class _Stream:
+    """Cuts shared by the sample streams: dataclasses of arrays indexed
+    along their first axis by the increasing times ``t``.  A cut copies
+    its range and validates it as a new stream."""
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __getitem__(self, k: slice):
+        """The samples in the index range ``k``."""
+        return type(self)(*(getattr(self, f.name)[k].copy() for f in fields(self)))
+
+    def slice_window(self, t_start: float, t_end: float):
+        """The samples in ``[t_start, t_end]`` (see :func:`window_range`)."""
+        return self[window_range(self.t, t_start, t_end)]
+
+
 @dataclass
-class ImuData:
+class ImuData(_Stream):
     """Gyro/accelerometer stream: ``t`` (s), ``omega`` rad/s, ``f`` m/s^2."""
 
     t: NDArray[np.float64]
@@ -84,16 +100,9 @@ class ImuData:
         if self.t.size >= 2 and np.any(np.diff(self.t) <= 0):
             raise InvalidArgumentError("IMU timestamps must be strictly increasing")
 
-    def __len__(self) -> int:
-        return self.t.size
-
-    def slice_window(self, t_start: float, t_end: float) -> "ImuData":
-        k = window_range(self.t, t_start, t_end)
-        return ImuData(self.t[k].copy(), self.omega[k].copy(), self.f[k].copy())
-
 
 @dataclass
-class AidData:
+class AidData(_Stream):
     """Aiding stream: ``t`` (s), ``lat``/``lon`` rad, ``heading_gt`` rad."""
 
     t: NDArray[np.float64]
@@ -114,14 +123,6 @@ class AidData:
         if n >= 2 and np.any(np.diff(self.t) <= 0):
             raise InvalidArgumentError("aiding timestamps must be strictly increasing")
         _latitude(self.lat)
-
-    def __len__(self) -> int:
-        return self.t.size
-
-    def slice_window(self, t_start: float, t_end: float) -> "AidData":
-        k = window_range(self.t, t_start, t_end)
-        return AidData(self.t[k].copy(), self.lat[k].copy(), self.lon[k].copy(),
-                       self.heading_gt[k].copy())
 
 
 @dataclass

@@ -17,7 +17,7 @@ from headalign.aligners import AlignMethod, AlignWindow, align_heading
 from headalign.errors import InsufficientDataError, InvalidArgumentError
 from headalign.harness import CLASSICAL_METHODS, evaluate
 from headalign.nn.data import window_starts
-from headalign.recording import sample_rates
+from headalign.recording import sample_rates, window_grid
 from headalign.simulate import (
     DEFAULT_SENSORS,
     Oscillation,
@@ -74,17 +74,24 @@ def test_harness_windows_equal_fresh_cuts(bank_120s, monkeypatch, t_aligns):
             assert [r.mean_ae_deg for r in rows] == [float(np.mean(a)) for a in fresh]
 
 
+def _fresh_grid_aes(rec, method: AlignMethod, T: float) -> list[float]:
+    """Per-window AEs with each window of the grid cut anew for this method alone."""
+    grid = window_grid(rec, T, "eval")
+    return [align_heading(AlignWindow.from_grid(rec, grid, j0), method, T).ae_deg
+            for j0 in grid.aid_start.tolist()]
+
+
 def test_windows_off_the_imu_grid_equal_fresh_cuts(monkeypatch):
     # At 12.5 Hz an odd whole second is off the sample grid: the window at
-    # 7 s starts at 7.04 s, and a fresh 6.01 s cut ends at 13.01 s, before
-    # the 13.04 s sample that a head of the 7 s window would keep.
+    # 7 s starts at the 7.04 s sample, and its 6.01 s head holds the 75
+    # samples from 7.04 to 12.96 s, as a fresh grid window at 6.01 s does.
     cfg = ScenarioConfig(name="odd", duration=60.0, lat=0.5, lon=0.6, psi0=1.0,
                          heading_osc=(Oscillation(2.0, 35.0, 0.3),),
                          imu_rate=12.5, aid_rate=12.5, seed=3)
     rec = simulate_recording(cfg, DEFAULT_SENSORS)
     _, seen = _evaluate_recording_aes([rec], ["I-OBA"], [7.0, 6.01], monkeypatch)
     for T in (7.0, 6.01):
-        assert seen[AlignMethod.I_OBA, T] == [_fresh_cut_aes(rec, AlignMethod.I_OBA, T)]
+        assert seen[AlignMethod.I_OBA, T] == [_fresh_grid_aes(rec, AlignMethod.I_OBA, T)]
 
 
 def _count_builds(monkeypatch) -> dict[str, int]:

@@ -139,6 +139,16 @@ def test_evaluate_checks_arguments_before_reading_data(data_dir, tmp_path, capsy
     assert reads == []
 
 
+def test_evaluate_names_the_cell_of_an_error(data_dir, tmp_path, capsys):
+    rc = main(["evaluate", "--data", data_dir, "--t-aligns", "10,1", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "invalid-argument",
+        "message": "recording dock at t_align=1 s: alignment window must last >= 2 s and hold "
+                   ">= 2 aiding samples; a 1 s window holds 5",
+    }
+
+
 @pytest.mark.parametrize("t_align", ["nan", "inf", "1"])
 def test_align_rejects_bad_window_length(data_dir, capsys, t_align):
     rc = main(["align", "--recording", os.path.join(data_dir, "dock"),

@@ -7,7 +7,9 @@ import pytest
 
 import headalign.harness as harness
 from headalign.errors import (
+    AlignmentWindowError,
     DegenerateAttitudeError,
+    DegenerateGeometryError,
     HeadAlignError,
     InsufficientDataError,
     InvalidArgumentError,
@@ -188,6 +190,19 @@ def test_recording_too_short_first_by_alignment_time(clean_recording):
     b = _named(clean_recording.slice_window(0.0, 100.0), "b")
     with pytest.raises(InsufficientDataError, match=r"^recording b too short for t_align=110.0$"):
         evaluate([a, b], ["I-OBA"], [110.0, 120.0])
+
+
+@pytest.mark.parametrize("error", [AlignmentWindowError, DegenerateGeometryError])
+def test_error_in_a_cell_keeps_its_class_and_names_the_cell(clean_recording, monkeypatch, error):
+    def fail_on_the_60s_windows(win, method, t_align):
+        if t_align == 60.0:
+            raise error("window fault")
+        return harness_align(win, method, t_align)
+
+    harness_align = harness.align_heading
+    monkeypatch.setattr(harness, "align_heading", fail_on_the_60s_windows)
+    with pytest.raises(error, match=r"^recording a at t_align=60 s: window fault$"):
+        evaluate([_named(clean_recording, "a")], ["I-OBA"], [30.0, 60.0])
 
 
 def test_non_finite_error_first_by_alignment_time(clean_recording, noisy_recording, monkeypatch):

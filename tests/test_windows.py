@@ -1,11 +1,27 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import headalign.harness as harness
+from headalign.aligners import AlignMethod, AlignWindow, align_heading
 from headalign.errors import InsufficientDataError, InvalidArgumentError
+from headalign.harness import evaluate
 from headalign.nn.data import _nav_rows, make_windows, window_starts
+from headalign.recording import window_grid
+from headalign.simulate import NOISE_FREE, Oscillation, ScenarioConfig, simulate_recording
 from headalign.strapdown import EARTH_RATE, AidData, earth_rate_nav, gravity_nav
+
+
+def _rated_recording(imu_rate: float, aid_rate: float):
+    """A noise-free 60-s recording at the given rates."""
+    cfg = ScenarioConfig(name=f"r{imu_rate:g}-{aid_rate:g}", duration=60.0, lat=0.5, lon=0.6,
+                         psi0=1.0, heading_osc=(Oscillation(2.0, 35.0, 0.3),),
+                         roll_osc=(Oscillation(1.5, 8.0, 0.0),), imu_rate=imu_rate,
+                         aid_rate=aid_rate, seed=5)
+    return simulate_recording(cfg, NOISE_FREE)
 
 
 def test_train_starts_are_one_second_stride():
@@ -29,6 +45,14 @@ def test_eval_starts_for_fractional_window_do_not_overlap(t_align, starts):
     np.testing.assert_array_equal(got, np.round(got))  # whole seconds
     assert np.all(np.diff(got) >= t_align)  # no two windows overlap
     assert got[-1] + t_align <= 120.0  # every window ends within the duration
+
+
+@pytest.mark.parametrize("mode", ["trian", "test", "", "EVAL"])
+def test_bad_mode_is_rejected(noisy_recording, mode):
+    with pytest.raises(InvalidArgumentError, match="mode must be 'train' or 'eval'"):
+        window_starts(20.0, 5.0, mode)
+    with pytest.raises(InvalidArgumentError, match="mode must be 'train' or 'eval'"):
+        window_grid(noisy_recording, 5.0, mode)
 
 
 @pytest.mark.parametrize("t_align", [0.0, -10.0, np.nan, np.inf])
@@ -145,3 +169,70 @@ def test_bad_arguments():
         make_windows([], 10.0, "train")
     with pytest.raises(InvalidArgumentError):
         make_windows([], 10.0, "test")
+
+
+def test_recordings_of_different_window_widths_are_rejected(noisy_recording):
+    slow = _rated_recording(12.5, 2.5)
+    with pytest.raises(InvalidArgumentError, match=r"recordings 0 and 1 give 50 and 25 aiding samples"):
+        make_windows([noisy_recording, slow], 10.0, "eval")
+
+
+def test_evaluate_scores_a_recording_whose_starts_fall_between_aiding_samples():
+    # at 2.5 Hz the start at 3 s falls between the aiding samples at 2.8 and 3.2 s
+    rec = _rated_recording(12.5, 2.5)
+    (row,) = evaluate([rec], ["I-OBA"], [3.0]).rows
+    assert row.windows == len(make_windows([rec], 3.0, "eval")) == 20
+
+
+SWEEP_T = [3.0, 4.0, 6.6, 7.0, 10.0]
+
+
+@pytest.fixture(scope="module", params=[(100.0, 5.0), (50.0, 10.0), (12.5, 2.5), (12.5, 12.5)],
+                ids=lambda rates: "{:g}-{:g}Hz".format(*rates))
+def swept(request):
+    """A 60-s recording at one rate pair, the report of one I-OBA sweep over
+    ``SWEEP_T``, and the classical windows it scored, keyed by T."""
+    rec = _rated_recording(*request.param)
+    seen = {}
+    classical = harness._classical_window_aes
+
+    def record(windows, method, t_align):
+        seen[t_align] = windows
+        return classical(windows, method, t_align)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_classical_window_aes", record)
+        report = evaluate([rec], ["I-OBA"], SWEEP_T)
+    return rec, report, seen
+
+
+def _stream_arrays(win):
+    return (win.imu.t, win.imu.omega, win.imu.f, win.aid.t, win.aid.lat, win.aid.heading_gt)
+
+
+@pytest.mark.parametrize("t_align", SWEEP_T)
+def test_classical_and_neural_methods_share_one_window_grid(swept, t_align):
+    rec, report, seen = swept
+    windows, ws = seen[t_align], make_windows([rec], t_align, "eval")
+    (row,) = [r for r in report.rows if r.t_align == t_align]
+    assert row.windows == len(windows) == len(ws)
+    assert [win.aid.heading_gt[-1] for win in windows] == ws.y.tolist()  # truth is the label
+    grid = window_grid(rec, t_align, "eval")
+    aid_rate = rec.meta["scenario"]["aid_rate"]  # the rule: j0 = ceil(aid_rate w), W = floor(aid_rate T)
+    np.testing.assert_array_equal(grid.aid_start, np.ceil(aid_rate * grid.starts - 1e-9))
+    assert grid.width == np.floor(aid_rate * t_align + 1e-9)
+    by_spacing = window_grid(SimpleNamespace(imu=rec.imu, aid=rec.aid), t_align, "eval")
+    assert all(np.array_equal(a, b) for a, b in zip(by_spacing, grid))  # rates without meta
+    for win, j0 in zip(windows, grid.aid_start.tolist()):  # heads and fresh cuts alike
+        fresh = AlignWindow.from_grid(rec, grid, j0)
+        for mine, theirs in zip(_stream_arrays(win), _stream_arrays(fresh)):
+            assert np.array_equal(mine, theirs)  # exact: tolerance 0
+        for mine, theirs in zip(win.tracks, fresh.tracks):
+            assert np.array_equal(mine, theirs)
+        for integrated in (True, False):
+            mine, theirs = win.observations(integrated), fresh.observations(integrated)
+            assert np.array_equal(mine.u_b0, theirs.u_b0) and np.array_equal(mine.u_n0, theirs.u_n0)
+        assert align_heading(win, AlignMethod.I_OBA, t_align) == align_heading(
+            fresh, AlignMethod.I_OBA, t_align)
+    assert t_align == max(SWEEP_T) or any(win._parent is not None for win in windows)
+    assert np.all(np.diff(grid.aid_start) >= grid.width)  # no aiding sample in two windows
