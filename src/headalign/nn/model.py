@@ -8,6 +8,14 @@ outputs are stacked along the height axis and fused by one or two more
 conv stages (64 -> 128), then flattened into a 512/128/32/1 FC stack
 with tanh and dropout between the first three FC layers.  The scalar
 output is the heading estimate in radians at the window end.
+
+The two branches share no layer and draw no dropout, so they can run at
+once.  While ``nn.train.train`` lends the model a one-worker thread pool,
+each training-mode forward and each backward runs branch 2 on the pool
+thread while the calling thread runs branch 1, and returns or raises
+only once both have finished; the results are the serial walk's, bit
+for bit.  Every other walk (``predict``, ``check_finite``, an eval-mode
+``forward``) runs the branches one after the other.
 """
 
 from __future__ import annotations
@@ -160,6 +168,21 @@ def _run_back(layers: list[Layer], dy: Array) -> Array:
     return dy
 
 
+def _both(pool, branch1, branch2):
+    """``(branch1(), branch2())``: with a pool, branch2 runs on it while
+    the caller runs branch1, and both have finished before this returns
+    or raises (branch1's error first, then branch2's); without one, they
+    run one after the other."""
+    if pool is None:
+        return branch1(), branch2()
+    other = pool.submit(branch2)
+    try:
+        h1 = branch1()
+    finally:
+        other.exception()  # waits for branch2 to end, raising nothing
+    return h1, other.result()
+
+
 class _NonFinite(Exception):
     """Stops a ``check_finite`` walk at the first layer whose output is non-finite."""
 
@@ -190,6 +213,9 @@ class HeadingModel:
         self.fc = fc
 
         self.training = False
+        #: The one-worker pool ``nn.train.train`` lends while it runs;
+        #: training-mode walks and backward run branch 2 on it.
+        self._pool = None
         rows = config.input_rows
         # identity normalization until training statistics are frozen in
         self.norm = {
@@ -248,8 +274,11 @@ class HeadingModel:
                 f"expected two (N, 1, {cfg.input_rows}, {cfg.input_width}) inputs, "
                 f"got {x1.shape} and {x2.shape}"
             )
-        h1 = _run(self.branch1, self._normalize(x1, "1"), training, rng, probe)
-        h2 = _run(self.branch2, self._normalize(x2, "2"), training, rng, probe)
+        h1, h2 = _both(
+            self._pool if training else None,
+            lambda: _run(self.branch1, self._normalize(x1, "1"), training, rng, probe),
+            lambda: _run(self.branch2, self._normalize(x2, "2"), training, rng, probe),
+        )
         self._h_rows = h1.shape[2]
         z = np.concatenate([h1, h2], axis=2)
         z = _run(self.trunk, z, training, rng, probe)
@@ -259,10 +288,15 @@ class HeadingModel:
     def backward(self, dpred: Array) -> None:
         """Accumulate parameter gradients from dloss/dpred (N,).  Each
         layer's backward consumes its forward cache, so the activations of
-        the layers already passed are freed as the walk goes."""
+        the layers already passed are freed as the walk goes.  The two
+        branches run at once while a pool is lent (see the module
+        docstring)."""
         dz = _run_back(self.trunk, _run_back(self.fc, dpred[:, None]))
-        _run_back(self.branch1, dz[:, :, : self._h_rows, :])
-        _run_back(self.branch2, dz[:, :, self._h_rows :, :])
+        _both(
+            self._pool,
+            lambda: _run_back(self.branch1, dz[:, :, : self._h_rows, :]),
+            lambda: _run_back(self.branch2, dz[:, :, self._h_rows :, :]),
+        )
 
     def check_finite(self, x1: Array, x2: Array) -> str | None:
         """Name the first layer whose output is non-finite, else None.  The

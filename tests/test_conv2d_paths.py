@@ -20,6 +20,7 @@ from headalign.nn import layers
 from headalign.nn.layers import Conv2d
 from headalign.nn.model import build_headingnet, load_checkpoint, save_checkpoint
 from headalign.nn.optim import AdamW
+from headalign.nn.train import _branch_threads
 from headalign.rng import stream
 
 RTOL = 1e-12
@@ -141,13 +142,14 @@ def test_only_the_branch_input_convs_skip_the_input_gradient():
 
 
 def _stock_batch_step(t_align):
-    """One batch-512 forward+backward in training mode on random inputs:
+    """One batch-512 forward+backward in training mode on random inputs,
+    its branches walked as ``train`` walks them (at once, where it can):
     the model after it and the traced memory above the inputs."""
     model = build_headingnet(t_align, seed=0).train()
     rng = np.random.default_rng(t_align)
     x1 = rng.normal(size=(512, 1, 6, model.config.input_width))
     x2 = rng.normal(size=x1.shape)
-    with traced_memory() as mem:
+    with traced_memory() as mem, _branch_threads(model):
         pred = model.forward(x1, x2, rng=stream(0, "dropout"))
         model.backward(np.ones_like(pred))
     assert np.isfinite(pred).all()

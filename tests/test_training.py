@@ -1,7 +1,17 @@
 from __future__ import annotations
 
+import hashlib
+import importlib
+import os
+import subprocess
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
+
+import headalign
 
 from headalign.errors import (
     InsufficientDataError,
@@ -10,10 +20,15 @@ from headalign.errors import (
     TrainingDivergedError,
 )
 from headalign.nn.data import make_windows
+from headalign.nn import model as nn_model
+from headalign.nn.blas import blas_control, one_blas_thread
 from headalign.nn.loss import cmse_loss
 from headalign.nn.model import build_headingnet
 from headalign.nn.optim import AdamW, steplr
 from headalign.nn.train import TrainConfig, default_train_config, train
+
+# the package re-exports the train() function under the submodule's name
+nn_train = importlib.import_module("headalign.nn.train")
 
 
 class TestCmseLoss:
@@ -276,3 +291,162 @@ class TestTrainLoop:
         assert cfg.batch == 512 and cfg.gamma == 0.8
         over = default_train_config(90, seed=9, epochs=7, lr=0.1)
         assert over.epochs == 7 and over.lr == 0.1
+
+
+# -- branch walks on two threads -------------------------------------------
+
+needs_blas_control = pytest.mark.skipif(
+    blas_control() is None,
+    reason="no OpenBLAS thread-count symbol found: train() cannot hold BLAS to one thread and walks serially",
+)
+
+
+def _trained(t_align, windows, cpus, monkeypatch):
+    """A seeded one-epoch train() with the CPU-count probe reading
+    ``cpus``; returns its history, parameter bytes and whether any walk
+    ran its branches on the lent pool."""
+    monkeypatch.setattr(nn_train, "_cpu_count", lambda: cpus)
+    pooled = []
+    both = nn_model._both
+    monkeypatch.setattr(nn_model, "_both", lambda pool, f1, f2: pooled.append(pool is not None) or both(pool, f1, f2))
+    model, history = train(build_headingnet(t_align, seed=5), windows,
+                           default_train_config(t_align, seed=5, epochs=1, batch=64))
+    return history, [p.tobytes() for _, p, _ in model.params()], any(pooled)
+
+
+@needs_blas_control
+@pytest.mark.parametrize("t_align", [10, 60])
+def test_concurrent_branch_walks_change_no_bit(noisy_recording, monkeypatch, t_align):
+    """Both runs are under train()'s one-thread BLAS hold; the serial one
+    sees one CPU, so no pool is lent.  Tolerance 0."""
+    windows = make_windows([noisy_recording], float(t_align), "train", seed=5)
+    serial = _trained(t_align, windows, 1, monkeypatch)
+    concurrent = _trained(t_align, windows, 2, monkeypatch)
+    assert (serial[2], concurrent[2]) == (False, True)
+    assert concurrent[0] == serial[0]
+    assert concurrent[1] == serial[1]
+
+
+_CHECKPOINT_SCRIPT = """
+import sys
+from headalign.nn.data import make_windows
+from headalign.nn.model import build_headingnet, save_checkpoint
+from headalign.nn.train import default_train_config, train
+from headalign.simulate import DEFAULT_SENSORS, scenario_bank, simulate_recording
+rec = simulate_recording(scenario_bank(42, duration=60.0)[0], DEFAULT_SENSORS)
+model, _ = train(build_headingnet(10, seed=42), make_windows([rec], 10.0, "train", seed=42),
+                 default_train_config(10, seed=42, epochs=1))
+save_checkpoint(model, sys.argv[1])
+"""
+
+
+@needs_blas_control
+def test_trained_bytes_do_not_depend_on_openblas_num_threads(tmp_path):
+    """At 1 and 2 BLAS threads the parent code trained different bytes."""
+    src = os.path.dirname(os.path.dirname(headalign.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"blas{threads}.ckpt"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", _CHECKPOINT_SCRIPT, str(path)], env=env, check=True)
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
+
+
+class _BranchFault(Exception):
+    pass
+
+
+@pytest.mark.parametrize("case", ["returns", "diverges", "branch1_raises", "branch2_raises"])
+def test_train_restores_blas_threads_and_joins_its_pool(small_windows, case):
+    """After train() returns or raises, the BLAS thread count and the
+    thread count are what they were, and no layer keeps a forward cache.
+    A branch's error surfaces with its own class, after the other branch
+    has ended (branch 2 is slowed when branch 1 raises)."""
+    model = build_headingnet(10, seed=6)
+    ended, blas_inside = set(), []
+
+    def watch_last(branch, pause):
+        layer = branch[-1]
+
+        def forward(x, training=False, rng=None):
+            time.sleep(pause)
+            blas_inside.append(blas_control()[0]() if blas_control() else None)
+            ended.add(layer.name)
+            return type(layer).forward(layer, x, training, rng)
+
+        layer.forward = forward
+
+    def fault(x, training=False, rng=None):
+        raise _BranchFault(case)
+
+    watch_last(model.branch1, 0.0)
+    watch_last(model.branch2, 0.2 if case == "branch1_raises" else 0.0)
+    if case == "diverges":
+        model.fc[0].W[0, 0] = np.nan
+    elif case == "branch1_raises":
+        model.branch1[0].forward = fault
+    elif case == "branch2_raises":
+        model.branch2[0].forward = fault
+    threads = threading.active_count()
+    blas = blas_control()[0]() if blas_control() else None
+    cfg = default_train_config(10, seed=6, epochs=1)
+    if case == "returns":
+        train(model, small_windows, cfg)
+    else:
+        with pytest.raises(TrainingDivergedError if case == "diverges" else _BranchFault):
+            train(model, small_windows, cfg)
+    failed = {"branch1_raises": "b1.act3", "branch2_raises": "b2.act3"}.get(case)
+    assert ended == {"b1.act3", "b2.act3"} - {failed}
+    if blas is not None:
+        assert set(blas_inside) == {1}
+        assert blas_control()[0]() == blas
+    assert threading.active_count() == threads
+    assert [layer.name for layer in model.layers() if layer._cache is not None] == []
+
+
+@needs_blas_control
+def test_one_blas_thread_holds_are_counted():
+    get, put = blas_control()
+    before = get()
+    put(2)
+    try:
+        with one_blas_thread():
+            with one_blas_thread():
+                assert get() == 1
+            assert get() == 1
+        assert get() == 2
+    finally:
+        put(before)
+
+
+@needs_blas_control
+def test_one_blas_thread_holds_from_many_threads():
+    """Eight threads enter and leave holds with the interpreter switching
+    every microsecond: inside any hold the count reads 1, and after the
+    last one it is restored."""
+    get, put = blas_control()
+    before = get()
+    inside = []
+
+    def hold():
+        for _ in range(200):
+            with one_blas_thread():
+                inside.append(get())
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        put(2)
+        workers = [threading.Thread(target=hold) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+        assert inside == [1] * 1600
+        assert get() == 2
+    finally:
+        sys.setswitchinterval(switch)
+        put(before)
