@@ -12,7 +12,6 @@ returns None and ``one_blas_thread`` does nothing.
 from __future__ import annotations
 
 import ctypes
-import threading
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -51,31 +50,18 @@ def blas_control():
     return None
 
 
-_lock = threading.Lock()
-_holds = 0
-_restore = 0
-
-
 @contextmanager
 def one_blas_thread():
-    """Hold OpenBLAS to one thread inside the block.  Holds are counted:
-    the first to enter sets the count to 1, and the last to leave, by
-    return or by raise, restores the count the first one found."""
-    global _holds, _restore
+    """Hold OpenBLAS to one thread inside the block; on leaving, by
+    return or by raise, restore the count it found."""
     ctl = blas_control()
     if ctl is None:
         yield
         return
     get, put = ctl
-    with _lock:
-        if _holds == 0:
-            _restore = get()
-            put(1)
-        _holds += 1
+    restore = get()
+    put(1)
     try:
         yield
     finally:
-        with _lock:
-            _holds -= 1
-            if _holds == 0:
-                put(_restore)
+        put(restore)

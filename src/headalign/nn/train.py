@@ -67,20 +67,26 @@ def _branch_threads(model: HeadingModel):
     """Inside the block, hold OpenBLAS to one thread and, where its thread
     count can be set and the process may use two or more CPUs, lend
     ``model`` a one-worker pool for its branch walks.  On leaving, by
-    return or by raise, the pool is taken back and its thread joined, no
-    layer keeps a forward cache, and the BLAS thread count is restored."""
-    with one_blas_thread(), ExitStack() as stack:
-        if blas_control() is not None and _cpu_count() >= 2:
-            # imported here so that commands which never train do not load it
-            from concurrent.futures import ThreadPoolExecutor
+    return or by raise, the pool is taken back and its thread joined and
+    the BLAS thread count is restored.  A raise may leave a walk half
+    done, so then, once the pool's thread has ended, every layer's
+    forward cache is dropped; on a return each backward has consumed its
+    forward's caches already."""
+    try:
+        with one_blas_thread(), ExitStack() as stack:
+            if blas_control() is not None and _cpu_count() >= 2:
+                # imported here so that commands which never train do not load it
+                from concurrent.futures import ThreadPoolExecutor
 
-            model._pool = stack.enter_context(ThreadPoolExecutor(1, thread_name_prefix="branch2"))
-        try:
-            yield
-        finally:
-            model._pool = None
-            for layer in model.layers():
-                layer._cache = None
+                model._pool = stack.enter_context(ThreadPoolExecutor(1, thread_name_prefix="branch2"))
+            try:
+                yield
+            finally:
+                model._pool = None
+    except BaseException:
+        for layer in model.layers():
+            layer._cache = None
+        raise
 
 
 def train(

@@ -21,7 +21,7 @@ from headalign.errors import (
 )
 from headalign.nn.data import make_windows
 from headalign.nn import model as nn_model
-from headalign.nn.blas import blas_control, one_blas_thread
+from headalign.nn.blas import blas_control
 from headalign.nn.loss import cmse_loss
 from headalign.nn.model import build_headingnet
 from headalign.nn.optim import AdamW, steplr
@@ -358,12 +358,19 @@ class _BranchFault(Exception):
     pass
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("case", ["returns", "diverges", "branch1_raises", "branch2_raises"])
-def test_train_restores_blas_threads_and_joins_its_pool(small_windows, case):
+def test_train_restores_blas_threads_and_joins_its_pool(small_windows, monkeypatch, case, cpus):
     """After train() returns or raises, the BLAS thread count and the
     thread count are what they were, and no layer keeps a forward cache.
-    A branch's error surfaces with its own class, after the other branch
-    has ended (branch 2 is slowed when branch 1 raises)."""
+    A branch's error surfaces with its own class.  With a pool lent, it
+    surfaces after the other branch has ended (branch 2 is slowed when
+    branch 1 raises); walking serially, a branch-1 error stops the walk
+    before branch 2 starts."""
+    monkeypatch.setattr(nn_train, "_cpu_count", lambda: cpus)
+    pooled = []
+    both = nn_model._both
+    monkeypatch.setattr(nn_model, "_both", lambda pool, f1, f2: pooled.append(pool is not None) or both(pool, f1, f2))
     model = build_headingnet(10, seed=6)
     ended, blas_inside = set(), []
 
@@ -397,56 +404,27 @@ def test_train_restores_blas_threads_and_joins_its_pool(small_windows, case):
     else:
         with pytest.raises(TrainingDivergedError if case == "diverges" else _BranchFault):
             train(model, small_windows, cfg)
-    failed = {"branch1_raises": "b1.act3", "branch2_raises": "b2.act3"}.get(case)
-    assert ended == {"b1.act3", "b2.act3"} - {failed}
+    assert pooled[0] == (blas is not None and cpus >= 2)  # the first training walk
+    failed = {"branch1_raises": {"b1.act3"}, "branch2_raises": {"b2.act3"}}.get(case, set())
+    if case == "branch1_raises" and not pooled[0]:
+        failed = {"b1.act3", "b2.act3"}
+    assert ended == {"b1.act3", "b2.act3"} - failed
     if blas is not None:
-        assert set(blas_inside) == {1}
+        assert set(blas_inside) == ({1} if ended else set())
         assert blas_control()[0]() == blas
     assert threading.active_count() == threads
     assert [layer.name for layer in model.layers() if layer._cache is not None] == []
 
 
-@needs_blas_control
-def test_one_blas_thread_holds_are_counted():
-    get, put = blas_control()
-    before = get()
-    put(2)
-    try:
-        with one_blas_thread():
-            with one_blas_thread():
-                assert get() == 1
-            assert get() == 1
-        assert get() == 2
-    finally:
-        put(before)
+def test_both_returns_only_after_branch2_when_branch1_raises():
+    from concurrent.futures import ThreadPoolExecutor
 
+    ended = []
 
-@needs_blas_control
-def test_one_blas_thread_holds_from_many_threads():
-    """Eight threads enter and leave holds with the interpreter switching
-    every microsecond: inside any hold the count reads 1, and after the
-    last one it is restored."""
-    get, put = blas_control()
-    before = get()
-    inside = []
+    def fault():
+        raise _BranchFault("branch 1")
 
-    def hold():
-        for _ in range(200):
-            with one_blas_thread():
-                inside.append(get())
-
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        put(2)
-        workers = [threading.Thread(target=hold) for _ in range(8)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=60)
-        assert not any(w.is_alive() for w in workers)
-        assert inside == [1] * 1600
-        assert get() == 2
-    finally:
-        sys.setswitchinterval(switch)
-        put(before)
+    with ThreadPoolExecutor(1) as pool:
+        with pytest.raises(_BranchFault):
+            nn_model._both(pool, fault, lambda: time.sleep(0.2) or ended.append("b2"))
+        assert ended == ["b2"]
